@@ -121,15 +121,17 @@ func (l *LDPC) buildBase() {
 		var shifts [3]int
 		ok := false
 		for attempt := 0; attempt < 300 && !ok; attempt++ {
-			seen := map[int]bool{}
-			for len(seen) < 3 {
-				seen[next(l.mb)] = true
-			}
-			i := 0
-			for r := range seen {
-				rows[i] = r
-				shifts[i] = next(l.Z)
+			// Three distinct rows in draw order: the code must be a pure
+			// function of (rate, Z), so no map iteration may order them.
+			for i := 0; i < 3; {
+				rows[i] = next(l.mb)
+				if (i > 0 && rows[i] == rows[0]) || (i > 1 && rows[i] == rows[1]) {
+					continue
+				}
 				i++
+			}
+			for i := range shifts {
+				shifts[i] = next(l.Z)
 			}
 			ok = !makesCycle(rows[0], shifts[0], rows[1], shifts[1]) &&
 				!makesCycle(rows[0], shifts[0], rows[2], shifts[2]) &&

@@ -2,6 +2,7 @@ package fec
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -59,6 +60,21 @@ func TestLDPCLinear(t *testing.T) {
 	for i := range cab {
 		if cab[i] != ca[i]^cb[i] {
 			t.Fatal("code is not linear")
+		}
+	}
+}
+
+// TestLDPCReproducible: the base matrix is a pure function of (rate, Z),
+// so every build of one code must place identical circulants.
+func TestLDPCReproducible(t *testing.T) {
+	for _, r := range ldpcRates {
+		for _, z := range []int{27, 54, 81} {
+			ref := NewLDPC(r, z).entries
+			for build := 1; build < 8; build++ {
+				if got := NewLDPC(r, z).entries; !slices.Equal(got, ref) {
+					t.Fatalf("rate %v Z=%d: build %d placed a different base matrix", r, z, build)
+				}
+			}
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/mac"
+	"repro/internal/linkmodel"
 )
 
 // The TXOP/A-MPDU redesign must be invisible when its knobs are off:
@@ -73,8 +73,7 @@ func compatScenarios() []struct {
 	arfCfg := func() Config {
 		cfg := DefaultConfig()
 		cfg.RtsThresholdBytes = 500
-		a := mac.DefaultArf()
-		cfg.Arf = &a
+		cfg.RateControl = "arf"
 		return cfg
 	}
 	roamCfg := func() Config {
@@ -133,6 +132,24 @@ func compatScenarios() []struct {
 		// row.
 		{"obss-off-floor", func() Result {
 			return LargeFloor(DefaultConfig(), 16, 2, 4, 1, 6, 11)(31).Run(1e5)
+		}},
+		// dense-grid-obss-bonded-shards3 pins sharded execution across
+		// commits: the bonded OBSS-PD grid of the shard-oracle suite at
+		// Shards: 3 (one engine per 40 MHz span), seed 11. Captured on
+		// the tree that still stepped shards in lock-step lookahead
+		// epochs with a barrier mailbox, before that layer was deleted —
+		// so this row is the evidence that running each shard's engine
+		// straight to the end changed no result.
+		{"dense-grid-obss-bonded-shards3", func() Result {
+			cfg := DefaultConfig()
+			cfg.Shards = 3
+			cfg.Modes = linkmodel.HtModes(2, 40)
+			cfg.ChannelWidthMHz = 40
+			agg := DefaultAggregation()
+			agg.MaxAmpduAirUs = 4000
+			cfg.Aggregation = &agg
+			cfg.ObssPdThresholdDBm = -62
+			return DenseGrid(cfg, 9, 2, []int{1, 6, 11}, 35, 900)(11).Run(1e5)
 		}},
 	}
 }

@@ -8,7 +8,7 @@
 // internal/linkmodel PER curves. Positions feed internal/channel path
 // loss, which feeds per-link rate selection from the internal/linkmodel
 // mode tables — once at association by default, or frame by frame
-// through mac.ArfController when Config.Arf is set — so topology, PHY
+// through the controller Config.RateControl names — so topology, PHY
 // generation, and MAC contention interact the way the paper describes
 // rather than by assumption. Above Config.RtsThresholdBytes an
 // exchange opens with RTS/CTS: the short RTS takes the SINR judgment,
@@ -103,25 +103,19 @@ type Config struct {
 	// the rate table).
 	RtsUs, CtsUs float64
 
-	// Arf, when non-nil, replaces association-time median-SNR mode
-	// selection with per-frame automatic rate fallback: each node keeps
-	// one mac.ArfController per destination and feeds it every data
-	// frame outcome, so the rate-vs-range staircase emerges frame by
-	// frame (and collapses back as a station walks away). With
-	// aggregation on, the controller is fed the aggregate TXOP outcome:
-	// a Block-ACK that acknowledges anything is a success, a burst that
-	// draws no Block-ACK at all is a failure.
-	Arf *mac.ArfConfig
-
 	// RateControl names the per-destination rate-adaptation scheme:
 	//
-	//   ""         legacy resolution — ARF when Arf is set, fixed
-	//              association-time selection otherwise (bit-identical
-	//              to every earlier release);
-	//   "fixed"    association-time median-SNR selection, even when Arf
-	//              is also set;
-	//   "arf"      mac.ArfController per destination (Arf fills in
-	//              mac.DefaultArf when nil);
+	//   "fixed"    association-time median-SNR selection (also what ""
+	//              means);
+	//   "arf"      per-frame automatic rate fallback: each node keeps
+	//              one mac.ArfController (mac.DefaultArf) per
+	//              destination and feeds it every data frame outcome,
+	//              so the rate-vs-range staircase emerges frame by
+	//              frame (and collapses back as a station walks away).
+	//              With aggregation on, the controller is fed the
+	//              aggregate TXOP outcome: a Block-ACK that
+	//              acknowledges anything is a success, a burst that
+	//              draws no Block-ACK at all is a failure;
 	//   "minstrel" mac.MinstrelController per destination — EWMA
 	//              throughput sampling over the whole Modes ladder, the
 	//              scheme built for the 2-D HT (MCS x width) tables,
@@ -178,10 +172,10 @@ type Config struct {
 	// the E27 scale benchmark compare against.
 	DisableSpatialIndex bool
 
-	// Shards requests conservative-PDES execution on up to this many
-	// parallel engines (shard.go): Prepare partitions the BSSs into
-	// causally independent interaction groups, runs whole groups per
-	// shard, and synchronizes at lookahead epochs. 0 and 1 mean the
+	// Shards requests execution on up to this many parallel engines
+	// (shard.go): Prepare partitions the BSSs into causally independent
+	// interaction groups, runs whole groups per shard, and Run takes
+	// every shard's engine straight to the end. 0 and 1 mean the
 	// classic single engine, bit-identical to every earlier release.
 	// Requests the floor cannot honor — fewer interaction groups than
 	// shards, mobility, sampling, or a plain attached Probe — clamp or
@@ -524,8 +518,8 @@ type Network struct {
 	robustIdx int
 
 	// rcKind is Config.RateControl resolved to a dispatch constant at
-	// New time (legacy "" maps to ARF or fixed by whether Config.Arf is
-	// set); rcRates caches the Mbps ladder Minstrel controllers index.
+	// New time; rcRates caches the Mbps ladder Minstrel controllers
+	// index.
 	rcKind  int
 	rcRates []float64
 
@@ -582,10 +576,6 @@ func New(cfg Config, seed int64) *Network {
 	if cfg.QueueLimit <= 0 {
 		cfg.QueueLimit = 64
 	}
-	if cfg.RateControl == "arf" && cfg.Arf == nil {
-		a := mac.DefaultArf()
-		cfg.Arf = &a
-	}
 	if cfg.RateControl == "minstrel" && cfg.Minstrel == nil {
 		m := mac.DefaultMinstrel()
 		cfg.Minstrel = &m
@@ -604,14 +594,14 @@ func New(cfg Config, seed int64) *Network {
 			n.robustIdx = i
 		}
 	}
-	switch {
-	case cfg.RateControl == "minstrel":
+	switch cfg.RateControl {
+	case "minstrel":
 		n.rcKind = rcMinstrel
 		n.rcRates = make([]float64, len(cfg.Modes))
 		for i, m := range cfg.Modes {
 			n.rcRates[i] = m.RateMbps
 		}
-	case cfg.RateControl == "arf" || (cfg.RateControl == "" && cfg.Arf != nil):
+	case "arf":
 		n.rcKind = rcArf
 	default:
 		n.rcKind = rcFixed
@@ -977,20 +967,11 @@ func (n *Network) Run(durationUs float64) Result {
 	if !n.prepared {
 		n.Prepare()
 	}
-	if len(n.shards) == 1 {
-		n.shards[0].eng.Run(durationUs)
-	} else {
-		engines := make([]*sim.Engine, len(n.shards))
-		for i, sh := range n.shards {
-			engines[i] = &sh.eng
-		}
-		d := &sim.ShardedDriver{Engines: engines, LookaheadUs: n.plan.LookaheadUs,
-			Workers: n.shardWorkers, OnBarrier: n.drainMailboxes}
-		// The driver's final barrier drains whatever the last epoch
-		// posted; like any packet arriving at the run's end, it enqueues
-		// but no longer transmits.
-		d.RunUntil(durationUs)
+	engines := make([]*sim.Engine, len(n.shards))
+	for i, sh := range n.shards {
+		engines[i] = &sh.eng
 	}
+	sim.RunParallel(engines, durationUs, n.shardWorkers)
 	return n.collect(durationUs)
 }
 

@@ -2,11 +2,10 @@ package netsim
 
 import (
 	"fmt"
-	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/mac"
 )
 
 // Run the same seed sweep serially and with a pool; results must be
@@ -36,8 +35,7 @@ func TestRunnerParallelMatchesSerial(t *testing.T) {
 func TestRunnerParallelMatchesSerialWithRtsAndArf(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RtsThresholdBytes = 500
-	a := mac.DefaultArf()
-	cfg.Arf = &a
+	cfg.RateControl = "arf"
 	jobs := append(
 		SeedSweep("hidden-rts", HiddenPairRtsCts(cfg, 300, 1200), 200000, 300, 4),
 		SeedSweep("dense-arf", DenseGrid(cfg, 2, 4, []int{1, 6}, 30, 1000), 200000, 400, 4)...)
@@ -75,28 +73,58 @@ func TestRunnerMixedScenarios(t *testing.T) {
 	}
 }
 
-// The speedup assertion is deliberately loose (the acceptance target of
-// ≥2x on 4 workers is demonstrated by `netsim -compare`); here we only
-// require that the pool is not pathologically slower, while logging the
-// measured ratio for the record.
-func TestRunnerSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
+// TestRunnerRunsJobsConcurrently: a Workers: 4 pool must really have
+// jobs in flight together. Each job's Build records the peak number of
+// Builds running at once and waits for a second job to arrive, so a
+// pool that ran jobs one at a time could never reach two. The timeout
+// only guards against a deadlock in a broken (serial) pool; the
+// assertion itself makes no wall-clock claim.
+func TestRunnerRunsJobsConcurrently(t *testing.T) {
+	build := DenseGrid(DefaultConfig(), 1, 2, []int{1}, 30, 1000)
+	var inFlight, peak atomic.Int32
+	together := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(together) }) }
+	jobs := SeedSweep("dense", func(seed int64) *Network {
+		n := inFlight.Add(1)
+		defer inFlight.Add(-1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		if n >= 2 {
+			release()
+		}
+		select {
+		case <-together:
+		case <-time.After(30 * time.Second):
+			release()
+		}
+		return build(seed)
+	}, 5e4, 0, 8)
+	ScenarioRunner{Workers: 4, Parallelism: 4}.RunAll(jobs)
+	if got := peak.Load(); got < 2 {
+		t.Fatalf("Workers: 4 never had two jobs in flight (peak %d)", got)
 	}
-	if runtime.NumCPU() < 2 {
-		t.Skip("parallel speedup needs more than one CPU")
-	}
+}
+
+// BenchmarkRunnerSpeedup reports the serial-vs-pool wall-clock ratio on
+// a seed sweep (speedup = serial / 4-worker time). It is a measurement,
+// not a gate: the ratio depends on the core count and on whatever else
+// the machine is running.
+func BenchmarkRunnerSpeedup(b *testing.B) {
 	build := DenseGrid(DefaultConfig(), 3, 8, []int{1}, 25, 1000)
 	jobs := SeedSweep("dense", build, 300000, 0, 8)
-	t0 := time.Now()
-	ScenarioRunner{Workers: 1}.RunAll(jobs)
-	serial := time.Since(t0)
-	t1 := time.Now()
-	ScenarioRunner{Workers: 4}.RunAll(jobs)
-	par := time.Since(t1)
-	speedup := float64(serial) / float64(par)
-	t.Logf("serial %v, 4 workers %v, speedup %.2fx", serial, par, speedup)
-	if speedup < 1.0 {
-		t.Errorf("parallel runner slower than serial: %.2fx", speedup)
+	var serial, pool time.Duration
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		ScenarioRunner{Workers: 1}.RunAll(jobs)
+		t1 := time.Now()
+		ScenarioRunner{Workers: 4}.RunAll(jobs)
+		serial += t1.Sub(t0)
+		pool += time.Since(t1)
 	}
+	b.ReportMetric(float64(serial)/float64(pool), "speedup")
 }

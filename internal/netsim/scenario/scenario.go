@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"repro/internal/linkmodel"
-	"repro/internal/mac"
 	"repro/internal/netsim"
 	"repro/internal/netsim/app"
 	"repro/internal/netsim/transport"
@@ -56,10 +55,12 @@ type Overrides struct {
 	AmpduFrames       *int     `json:"ampdu_frames,omitempty"`
 	Edca              bool     `json:"edca,omitempty"`
 	Txop              bool     `json:"txop,omitempty"`
-	Arf               bool     `json:"arf,omitempty"`
+	// Arf is the shorthand for rate_control "arf"; setting both is an
+	// error.
+	Arf bool `json:"arf,omitempty"`
 
 	// RateControl selects the per-link rate controller ("fixed" | "arf"
-	// | "minstrel"); absent keeps the legacy rule (ARF iff config.arf).
+	// | "minstrel"); absent means fixed unless config.arf is set.
 	RateControl *string `json:"rate_control,omitempty"`
 	// HtStreams switches the rate table to the 802.11n HT ladder
 	// (linkmodel.HtModes) with this many spatial streams, at
@@ -522,8 +523,7 @@ func (f *File) netConfig() netsim.Config {
 		cfg.RoamIntervalUs = *c.RoamIntervalUs
 	}
 	if c.Arf {
-		a := mac.DefaultArf()
-		cfg.Arf = &a
+		cfg.RateControl = "arf"
 	}
 	if c.HtStreams != nil {
 		w := 20

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -9,8 +8,7 @@ import (
 	"repro/internal/linkmodel"
 )
 
-// The sharded-execution test suite: planning edge cases, the mailbox
-// protocol, repeat/worker determinism for a fixed shard count, the
+// The sharded-execution test suite: planning edge cases, repeat/worker determinism for a fixed shard count, the
 // bit-identical fallback paths, and the statistical equivalence of
 // Shards: N against the single-engine oracle.
 //
@@ -255,60 +253,9 @@ func TestShardSeamBridge(t *testing.T) {
 	}
 }
 
-// TestShardMailbox exercises the cross-shard outbox/drain machinery
-// directly: planning never routes flow traffic across a seam, so the
-// unit test posts by hand and verifies single-writer append, the
-// index-ordered barrier drain, and delivery into the destination
-// queue.
-func TestShardMailbox(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Shards = 2
-	n := New(cfg, 4)
-	var flows []*Flow
-	for i := 0; i < 2; i++ {
-		b := n.AddAP(fmt.Sprintf("ap%d", i), float64(i)*10, 0, []int{1, 6}[i])
-		st := n.AddStation(b, fmt.Sprintf("sta%d", i), float64(i)*10+5, 0)
-		flows = append(flows, n.Add(FlowSpec{From: st, AC: AC_BE,
-			Gen: CBR{PayloadBytes: 400, IntervalUs: 1e5}}))
-	}
-	n.Prepare()
-	if got := n.Plan().Shards; got != 2 {
-		t.Fatalf("planned %d shards, want 2: %+v", got, n.Plan())
-	}
-	a, b := n.bss[0].AP, n.bss[1].AP
-	if a.sh == b.sh {
-		t.Fatal("the two channels should land on different shards")
-	}
-	p := &packet{flow: flows[1], bytes: 400, ac: AC_BE}
-	a.forward(b, p)
-	if len(b.acq[AC_BE].queue) != 0 {
-		t.Fatal("cross-shard forward must not enqueue synchronously")
-	}
-	if len(a.sh.outbox) != 1 || a.sh.outbox[0].dst != b || a.sh.outbox[0].pkt != p {
-		t.Fatalf("outbox holds %+v", a.sh.outbox)
-	}
-	n.drainMailboxes(0)
-	if len(a.sh.outbox) != 0 {
-		t.Fatal("drain left the outbox populated")
-	}
-	if q := b.acq[AC_BE].queue; len(q) != 1 || q[0] != p {
-		t.Fatalf("drain did not deliver the packet: queue %v", q)
-	}
-	// Same-shard forwarding stays synchronous.
-	sameSta := n.nodes[1] // sta0, shares a's shard
-	p2 := &packet{flow: flows[0], bytes: 400, ac: AC_BE}
-	sameSta.forward(a, p2)
-	if qlen := len(a.acq[AC_BE].queue); qlen != 1 {
-		t.Fatalf("same-shard forward should enqueue directly, queue len %d", qlen)
-	}
-	if len(sameSta.sh.outbox) != 0 {
-		t.Fatal("same-shard forward must not touch the outbox")
-	}
-}
-
 // TestShardedRepeatDeterminism: for a fixed Shards: N, repeats must be
 // bit-identical — same Result fingerprint AND the same per-shard event
-// stream, independent of the worker count the epochs ran on.
+// stream, independent of the worker count the engines ran on.
 func TestShardedRepeatDeterminism(t *testing.T) {
 	for _, sc := range shardScenarios() {
 		t.Run(sc.name, func(t *testing.T) {

@@ -272,11 +272,10 @@ func (f *Flow) refill(tx *Node) {
 // relayed hands a via-AP flow's packet from its first hop (transmitted
 // by from) to the AP's queue toward the final destination, preserving
 // the arrival timestamp so delay stays end-to-end. A full AP queue
-// drops it there. The hop routes through forward: same-shard APs
-// enqueue synchronously (the only case planning produces), a cross-
-// shard AP would receive it at the next epoch barrier.
-func (f *Flow) relayed(p *packet, from *Node, ap *Node) {
-	from.forward(ap, p)
+// drops it there. The enqueue is synchronous: the planner puts both
+// ends of every flow on one shard.
+func (f *Flow) relayed(p *packet, ap *Node) {
+	ap.enqueue(p)
 	if f.saturated {
 		f.topUp()
 	}

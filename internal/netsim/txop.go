@@ -247,7 +247,7 @@ func (nd *Node) applyBlockAck(tr *transmission, ok []bool) {
 		if ok[i] {
 			sh.delivered[ac]++
 			if p.flow.viaAP() && tr.rx.ap {
-				p.flow.relayed(p, nd, p.flow.To.bss.AP)
+				p.flow.relayed(p, p.flow.To.bss.AP)
 			} else {
 				p.flow.delivered(p, sh.eng.Now(), nd)
 			}
@@ -263,7 +263,7 @@ func (nd *Node) applyBlockAck(tr *transmission, ok []bool) {
 			// flight: hand the MPDU to its current AP instead of
 			// retrying from one it no longer listens to.
 			p.retries = 0
-			nd.forward(to.bss.AP, p)
+			to.bss.AP.enqueue(p)
 			continue
 		}
 		p.retries++
