@@ -92,7 +92,7 @@ func BenchmarkE30HtLadder(b *testing.B) { benchExperiment(b, "E30") }
 // uses the spatial grid + tracked-neighborhood carrier-sense path;
 // brute is the all-nodes membership scan kept behind
 // netsim.Config.DisableSpatialIndex as the bit-for-bit oracle. Setup
-// (the O(n²) gain matrix, via Prepare) is excluded from the timing so
+// (the per-medium gain tables, via Prepare) is excluded from the timing so
 // ns/op measures the event-loop hot path the index rebuilt; the
 // indexed/brute ratio is the speedup — ≥3x at this size.
 //
@@ -148,7 +148,7 @@ func BenchmarkE27LargeFloor(b *testing.B) {
 // the scaled-interference SINR path hot. The CI gate holds its ns/op
 // and allocs/op: the window test is a few compares inside the existing
 // scan and ignore accounting is counter bumps, so coloring must not
-// add per-frame allocations. Setup (gain matrix via Prepare) is
+// add per-frame allocations. Setup (gain tables via Prepare) is
 // excluded as in E27/E28.
 func BenchmarkE31SpatialReuse(b *testing.B) {
 	cfg := netsim.DefaultConfig()
@@ -178,7 +178,7 @@ func BenchmarkE31SpatialReuse(b *testing.B) {
 // runs the identical topology at a different Config.Shards; shards=1
 // is the single-engine baseline the 2% CI gate holds (sharding must
 // cost nothing when off), and shards=2/4/8 trace the speedup curve.
-// Setup (the O(n²) gain matrix, via Prepare) is excluded so ns/op
+// Setup (the per-medium gain tables, via Prepare) is excluded so ns/op
 // measures the event loops plus the worker-pool fan-out.
 //
 // The curve only bends on multi-core machines: shard workers default
@@ -220,7 +220,7 @@ func BenchmarkE28ShardedFloor(b *testing.B) {
 // enqueue — on top of the DCF hot loop, which is the overhead the CI
 // gate holds: the closed loop must stay event-driven (no polling), so
 // its cost tracks delivered packets, not virtual time. Setup (gain
-// matrix via Prepare) is excluded as in E27/E28.
+// tables via Prepare) is excluded as in E27/E28.
 func BenchmarkE29ClosedLoop(b *testing.B) {
 	build := app.ApartmentBlock(netsim.DefaultConfig(), 9, 8)
 	b.ReportAllocs()

@@ -151,6 +151,24 @@ func compatScenarios() []struct {
 			cfg.ObssPdThresholdDBm = -62
 			return DenseGrid(cfg, 9, 2, []int{1, 6, 11}, 35, 900)(11).Run(1e5)
 		}},
+		// reuse-floor-4ch-shards2 pins the per-medium radio state on a
+		// multi-channel, non-bonded floor: 64 BSSs x 3 stations on four
+		// channels at Shards: 2, so the run holds four media (two per
+		// shard) and every gain it reads comes from one medium's table.
+		// Captured on the tree that still kept dense N x N gain matrices,
+		// so this row is the evidence that sizing the tables by medium
+		// changed no result.
+		{"reuse-floor-4ch-shards2", func() Result {
+			cfg := DefaultConfig()
+			cfg.Shards = 2
+			cfg.CSThresholdDBm = -62
+			n := LargeFloor(cfg, 64, 3, 8, 1, 4, 7, 10)(17)
+			n.Prepare()
+			if p := n.Plan(); p.Shards != 2 || p.Groups != 4 || len(n.media) != 4 {
+				panic(fmt.Sprintf("reuse-floor-4ch-shards2: plan %+v with %d media, want 2 shards over 4 groups and 4 media", p, len(n.media)))
+			}
+			return n.Run(1e5)
+		}},
 	}
 }
 

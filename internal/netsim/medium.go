@@ -27,6 +27,10 @@ type medium struct {
 	nodes   []*Node
 	active  []*transmission
 
+	// gt is the gain table every member reads (gains.go): the medium's
+	// own, or the network-wide one under roaming.
+	gt *gainTable
+
 	// bonded mirrors Config.ChannelWidthMHz == 40: channel is then a
 	// component root rather than a literal channel, and the hot paths
 	// apply per-pair slot-overlap fractions.
@@ -214,7 +218,7 @@ func (m *medium) remove(nd *Node) {
 
 // bruteScanCutoff is the membership size below which the linear scan
 // beats the grid query (cell map lookups plus the membership-order sort
-// cost more than walking a few dozen gain-matrix rows). The two paths
+// cost more than walking a few dozen gain-table entries). The two paths
 // are bit-for-bit equivalent, so the cutover is purely a speed choice.
 const bruteScanCutoff = 64
 
@@ -329,7 +333,9 @@ func (m *medium) start(tr *transmission) {
 			if a.tx == tr.tx || a.color == tr.color {
 				continue
 			}
-			p := m.net.rxPowerDBm(a.tx, tr.tx) + a.backoffDB
+			// The gain tables are symmetric, so read tr.tx's row (fixed
+			// across this loop) rather than walking a column.
+			p := m.net.rxPowerDBm(tr.tx, a.tx) + a.backoffDB
 			if m.bonded {
 				ov := slotOverlap(a.chLo, a.chW, tr.tx.bss.Channel, 2)
 				if ov == 0 {
@@ -361,7 +367,7 @@ func (m *medium) start(tr *transmission) {
 	// Snapshot the crossed interference only when gains can actually
 	// change mid-frame (roamScan is the one thing that moves nodes);
 	// on a static floor finish recomputes the identical figure from the
-	// gain matrix, sparing two list appends per overlapping pair in the
+	// gain table, sparing two list appends per overlapping pair in the
 	// densest part of the hot loop.
 	snap := m.net.cfg.RoamIntervalUs > 0
 	for _, a := range prev {
@@ -380,7 +386,9 @@ func (m *medium) start(tr *transmission) {
 		}
 		if a.tx != tr.rx {
 			if f := overlapFrac(a, tr, m.bonded); f > 0 {
-				mw := m.net.rxPowerMw(a.tx, tr.rx) * f * a.scaleMw
+				// a.tx → tr.rx, read from tr.rx's row of the symmetric
+				// table so the loop stays in one row.
+				mw := m.net.rxPowerMw(tr.rx, a.tx) * f * a.scaleMw
 				tr.addInterference(mw)
 				if snap {
 					a.contrib = append(a.contrib, contribution{tr, mw})
@@ -513,7 +521,7 @@ func (m *medium) finish(tr *transmission) {
 			}
 		}
 	} else {
-		// Static gains: the matrix still holds exactly what start added
+		// Static gains: the table still holds exactly what start added
 		// (channels never change without mobility, so the overlap
 		// fraction recomputes identically too — including the frame's
 		// own OBSS-PD power scale, fixed at launch).

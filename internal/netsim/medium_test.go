@@ -12,7 +12,7 @@ func TestFinishUnwindsSnapshotAfterMidFrameMove(t *testing.T) {
 	cfg := DefaultConfig()
 	// Mid-frame gain changes only happen when roamScan runs; that is
 	// also what arms the snapshot path (a static floor skips the
-	// bookkeeping and recomputes from the unchanged gain matrix).
+	// bookkeeping and recomputes from the unchanged gain table).
 	cfg.RoamIntervalUs = 100000
 	n := New(cfg, 1)
 	b1 := n.AddAP("AP1", 0, 0, 1)
@@ -33,7 +33,7 @@ func TestFinishUnwindsSnapshotAfterMidFrameMove(t *testing.T) {
 	}
 
 	// s1 walks far away while its frame is still on the air: the gain
-	// matrix refreshes, so a finish-time recomputation would subtract a
+	// table refreshes, so a finish-time recomputation would subtract a
 	// much smaller figure than was added.
 	s1.X = 2000
 	n.refreshGains(s1)

@@ -47,9 +47,7 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/channel"
 	"repro/internal/linkmodel"
@@ -380,6 +378,12 @@ type Node struct {
 	// accounting. Single-engine runs put every node on shard 0.
 	sh *shard
 
+	// gt is the gain table holding this node's received powers and gi
+	// its index there (gains.go): its medium's table, or the one
+	// all-node table under roaming.
+	gt *gainTable
+	gi int
+
 	// ord is the node's membership number on its current medium (set by
 	// medium.addNode); cell is the spatial-grid cell it is filed under.
 	// Together they let indexed carrier-sense scans replay the exact
@@ -490,16 +494,14 @@ type Network struct {
 	edca   EdcaParams
 	edcaOn bool
 
-	// rxDBm[i][j] is the received power at node j when node i
-	// transmits; shadowDB[i][j] is the symmetric per-pair shadowing
-	// draw baked into it. rxMw caches the same figure in milliwatts —
-	// the interference crossing in medium.start/finish sums powers
-	// linearly for every concurrent pair, and the dB→mW exponential was
-	// a top hot-loop cost when recomputed per frame for gains that only
-	// change on a move.
-	rxDBm    [][]float64
-	rxMw     [][]float64
-	shadowDB [][]float64
+	// tables are the received-power tables build fills (gains.go): one
+	// per medium, or a single one over every node under roaming. A node
+	// reads only its own table (Node.gt). minShadowDB is the most
+	// favorable (most negative) shadowing draw among all node pairs —
+	// the widening both the spatial-index radii and the shard-planning
+	// radius apply to stay conservative per pair.
+	tables      []*gainTable
+	minShadowDB float64
 
 	noiseFloorDBm float64
 	noiseFloorMw  float64
@@ -749,31 +751,15 @@ func dist(a, b *Node) float64 {
 	return math.Hypot(a.X-b.X, a.Y-b.Y)
 }
 
-// build computes the pairwise gain matrix, groups nodes into per-channel
-// media, and selects per-station uplink modes.
+// build freezes the radio state: it draws the pairwise shadowing,
+// derives the index and planning radii from it, partitions the floor
+// into shards, groups nodes into per-channel media, and fills each
+// medium's gain table.
 func (n *Network) build() {
-	nn := len(n.nodes)
-	n.shadowDB = make([][]float64, nn)
-	n.rxDBm = make([][]float64, nn)
-	n.rxMw = make([][]float64, nn)
-	for i := range n.nodes {
-		n.shadowDB[i] = make([]float64, nn)
-		n.rxDBm[i] = make([]float64, nn)
-		n.rxMw[i] = make([]float64, nn)
-	}
-	for i := 0; i < nn; i++ {
-		for j := i + 1; j < nn; j++ {
-			sh := 0.0
-			if n.cfg.PathLoss.ShadowDB > 0 {
-				sh = n.src.Gaussian(0, n.cfg.PathLoss.ShadowDB)
-			}
-			n.shadowDB[i][j], n.shadowDB[j][i] = sh, sh
-		}
-	}
-	n.fillGains()
-	// Index query radii depend on the shadowing draws just baked into
-	// the gain matrix: media size their grids from csRangeM, and the
-	// shard planner's interaction radius builds on both.
+	shadow := n.drawShadows()
+	// Index query radii depend on the shadowing draws: media size their
+	// grids from csRangeM, and the shard planner's interaction radius
+	// builds on both.
 	n.csRangeM, n.navRangeM = n.indexRanges()
 	if n.bonded {
 		n.chanRoot = bondedComponents(n.bss)
@@ -796,6 +782,7 @@ func (n *Network) build() {
 			m.addNode(nd)
 		}
 	}
+	n.buildTables(shadow)
 	n.bssBytes = make([]int, len(n.bss))
 	n.built = true
 }
@@ -833,78 +820,6 @@ func bondedComponents(bss []*BSS) map[int]int {
 	return root
 }
 
-// fillGains computes the initial received-power matrix: each unordered
-// pair exactly once (the per-node refreshGains would do every pair
-// twice), with rows striped across cores — the O(n²) transcendental
-// bill (path-loss log, dB→mW exponential) dominates setup on 1000+
-// node floors, and the per-pair math is pure, so the fan-out is
-// bit-for-bit deterministic. The shadowing draws are already fixed at
-// this point, so no randomness crosses a goroutine boundary.
-func (n *Network) fillGains() {
-	nn := len(n.nodes)
-	b := n.cfg.Budget
-	fillRow := func(i int) {
-		nd := n.nodes[i]
-		for j := i + 1; j < nn; j++ {
-			loss := n.cfg.PathLoss.LossDB(dist(nd, n.nodes[j])) + n.shadowDB[i][j]
-			p := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - loss
-			n.rxDBm[i][j], n.rxDBm[j][i] = p, p
-			mw := mwFromDBm(p)
-			n.rxMw[i][j], n.rxMw[j][i] = mw, mw
-		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	if nn < 256 || workers < 2 {
-		for i := 0; i < nn; i++ {
-			fillRow(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < nn; i += workers {
-				fillRow(i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// refreshGains recomputes row and column i of the received-power matrix
-// whenever node i moves.
-func (n *Network) refreshGains(nd *Node) {
-	for _, sh := range n.shards {
-		clear(sh.modeCache)
-	}
-	b := n.cfg.Budget
-	for j, other := range n.nodes {
-		if other == nd {
-			continue
-		}
-		loss := n.cfg.PathLoss.LossDB(dist(nd, other)) + n.shadowDB[nd.id][j]
-		p := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - loss
-		n.rxDBm[nd.id][j] = p
-		n.rxDBm[j][nd.id] = p
-		mw := mwFromDBm(p)
-		n.rxMw[nd.id][j] = mw
-		n.rxMw[j][nd.id] = mw
-	}
-}
-
-// rxPowerDBm returns the received power at node rx when tx transmits.
-func (n *Network) rxPowerDBm(tx, rx *Node) float64 { return n.rxDBm[tx.id][rx.id] }
-
-// rxPowerMw is the same figure in milliwatts, cached at gain-refresh
-// time so the per-frame interference crossing never pays the dB→linear
-// exponential.
-func (n *Network) rxPowerMw(tx, rx *Node) float64 { return n.rxMw[tx.id][rx.id] }
-
 // linkSNRdB is the interference-free SNR of the tx→rx link.
 func (n *Network) linkSNRdB(tx, rx *Node) float64 {
 	return n.rxPowerDBm(tx, rx) - n.noiseFloorDBm
@@ -927,11 +842,11 @@ func (n *Network) ampduAirUs(m linkmodel.Mode, totalBytes int) float64 {
 func (n *Network) rtsAirUs() float64 { return n.cfg.Dcf.PlcpUs + n.cfg.RtsUs }
 func (n *Network) ctsAirUs() float64 { return n.cfg.Dcf.PlcpUs + n.cfg.CtsUs }
 
-// Prepare freezes the topology (gain matrix, media, spatial index) and
+// Prepare freezes the topology (gain tables, media, spatial index) and
 // seeds the traffic processes without advancing virtual time. Run calls
 // it implicitly; calling it explicitly lets setup cost be separated
 // from event-loop cost — the scale benchmarks time the two phases
-// independently, since the O(n²) gain matrix dwarfs short runs on
+// independently, since filling the gain tables dwarfs short runs on
 // 1000+ node floors. After Prepare, the only permitted call is Run.
 func (n *Network) Prepare() {
 	if n.prepared {
@@ -1081,12 +996,20 @@ func (nd *Node) maybeLeaveCS() {
 
 // reassociate moves the station to the new BSS, switching media when
 // the channel differs, recomputing its carrier-sense state, and handing
-// queued downlink packets from the old AP to the new one.
+// queued downlink packets from the old AP to the new one. Switching to
+// a medium with another gain table would leave the station indexing
+// the wrong table, so it panics: only a roaming network
+// (Config.RoamIntervalUs > 0), whose media share one table, may move
+// stations between media.
 func (nd *Node) reassociate(b *BSS) {
-	oldAp := nd.bss.AP
-	nd.freezeBackoff()
 	old := nd.med
 	next := nd.sh.mediumFor(b.Channel)
+	if next.gt != nd.gt {
+		panic(fmt.Sprintf("netsim: %s cannot reassociate to %s: channel %d's medium has its own gain table (moving between media needs Config.RoamIntervalUs > 0)",
+			nd.Name, b.AP.Name, b.Channel))
+	}
+	oldAp := nd.bss.AP
+	nd.freezeBackoff()
 	nd.bss = b
 	// Drop out of the release lists of in-flight frames on the old
 	// medium, then re-baseline against the new medium's frames; each

@@ -15,8 +15,9 @@ import (
 // every shard's engine to sim.RunParallel, which runs each one straight
 // to the end on a worker pool; a shard's goroutine touches only state
 // owned by that shard plus the Network's frozen build products (config,
-// gain matrices, node positions). Everything mutable in the MAC hot
-// path hangs off the shard a node belongs to.
+// node positions, and the gain tables of the shard's own media — each
+// medium has its own, so shards never read each other's). Everything
+// mutable in the MAC hot path hangs off the shard a node belongs to.
 //
 // Partitioning is by interaction group, not by raw grid cell: two BSSs
 // interact when any of their nodes share a channel within carrier
@@ -206,7 +207,7 @@ func (n *Network) channelsCouple(ca, cb int) bool {
 // every range the mechanism can produce.
 func (n *Network) interactRangeM() float64 {
 	b := n.cfg.Budget
-	gainDBm := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - n.minShadowDB()
+	gainDBm := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - n.minShadowDB
 	r := maxDistForLoss(n.cfg.PathLoss, gainDBm-(n.noiseFloorDBm-interferenceMarginDB))
 	if n.csRangeM > r {
 		r = n.csRangeM
@@ -215,21 +216,6 @@ func (n *Network) interactRangeM() float64 {
 		r = n.navRangeM
 	}
 	return r
-}
-
-// minShadowDB is the most favorable (most negative) shadowing draw in
-// the deployment — the widening both the spatial-index radii and the
-// shard-planning radius apply to stay conservative per pair.
-func (n *Network) minShadowDB() float64 {
-	min := 0.0
-	for i := range n.shadowDB {
-		for j := i + 1; j < len(n.shadowDB[i]); j++ {
-			if sh := n.shadowDB[i][j]; sh < min {
-				min = sh
-			}
-		}
-	}
-	return min
 }
 
 // interactionGroups partitions the BSS set into groups that cannot
@@ -341,13 +327,13 @@ func balanceGroups(groups [][]int, bssNodes []int, k int) []int {
 }
 
 // planShards decides the partition and creates the shards, assigning
-// every node to one. Called from build after the gain matrix and index
-// ranges are final (the planning radius depends on the shadowing
-// draws) and before media are created. The single-shard path — whether
-// requested or fallen back to — hands shard 0 the Network's own
-// rng.Source and attached probe, keeping it bit-identical to the
-// pre-shard simulator; a multi-shard run splits one deterministic
-// child stream per shard in shard order.
+// every node to one. Called from build after the shadowing draws and
+// index ranges are final (the planning radius depends on the draws) and
+// before media and their gain tables are created. The single-shard
+// path — whether requested or fallen back to — hands shard 0 the
+// Network's own rng.Source and attached probe, keeping it bit-identical
+// to the pre-shard simulator; a multi-shard run splits one
+// deterministic child stream per shard in shard order.
 func (n *Network) planShards() {
 	req := n.cfg.Shards
 	if req < 1 {

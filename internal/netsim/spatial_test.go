@@ -120,6 +120,9 @@ func TestGridCandidatesSupersetOfInRange(t *testing.T) {
 // and appear in the new one, and both grids must stay query-consistent.
 func TestGridTracksMediumMigration(t *testing.T) {
 	cfg := DefaultConfig()
+	// The test emulates a roam by hand; only a roaming network builds
+	// the one gain table that lets a station move between media.
+	cfg.RoamIntervalUs = 100000
 	n := New(cfg, 3)
 	b1 := n.AddAP("AP1", 0, 0, 1)
 	b2 := n.AddAP("AP2", 40, 0, 6)
