@@ -322,12 +322,6 @@ func (l Link) GoodputAt(d float64) float64 {
 	return g
 }
 
-// ModeAt returns the selected mode at distance d.
-func (l Link) ModeAt(d float64) Mode {
-	m, _ := BestMode(l.Modes, l.SNRAt(d), l.Fading, 0.1)
-	return m
-}
-
 // RangeForRate returns the maximum distance at which goodput still meets
 // minMbps, bisecting between 1 m and 10 km.
 func (l Link) RangeForRate(minMbps float64) float64 {

@@ -694,16 +694,10 @@ func (nd *Node) fail(tr *transmission) {
 		nd.failAmpduRts(q, ex)
 		return
 	}
-	if to := tr.pkt.flow.To; nd.ap && to != nil && !to.ap && to.bss.AP != nd {
-		// The destination reassociated while this frame was in flight
-		// (the one packet handoffDownlink must leave mid-exchange):
-		// stop retrying from an AP the station no longer listens to and
-		// hand the frame to its current AP, as the roam handoff does
-		// for the rest of the queue.
+	if nd.handOffRoamed(tr.pkt) {
 		q.queue = q.queue[1:]
 		q.cw = q.params().CWMin
 		q.retries = 0
-		to.bss.AP.enqueue(tr.pkt)
 		nd.recontend()
 		return
 	}
@@ -720,9 +714,8 @@ func (nd *Node) fail(tr *transmission) {
 func (nd *Node) failAmpduRts(q *acQueue, ex *exchange) {
 	keep := make([]*packet, 0, len(ex.mpdus))
 	for _, p := range ex.mpdus {
-		if to := p.flow.To; nd.ap && to != nil && !to.ap && to.bss.AP != nd {
+		if nd.handOffRoamed(p) {
 			p.retries = 0
-			to.bss.AP.enqueue(p)
 			continue
 		}
 		keep = append(keep, p)
@@ -730,4 +723,19 @@ func (nd *Node) failAmpduRts(q *acQueue, ex *exchange) {
 	q.queue = append(keep, q.queue...)
 	q.exchangeFailed(true)
 	nd.recontend()
+}
+
+// handOffRoamed hands p to its destination's current AP when the
+// station reassociated away from nd while p was in flight — the frames
+// handoffDownlink must leave mid-exchange — instead of retrying it from
+// an AP the station no longer listens to, and reports whether p left.
+// Retry state stays with the caller: the single-frame path resets its
+// queue's window and count, the A-MPDU paths the MPDU's own count.
+func (nd *Node) handOffRoamed(p *packet) bool {
+	to := p.flow.To
+	if !nd.ap || to == nil || to.ap || to.bss.AP == nd {
+		return false
+	}
+	to.bss.AP.enqueue(p)
+	return true
 }

@@ -157,7 +157,7 @@ func (t *transmission) addInterference(mw float64) {
 }
 
 // dropSensed removes nd from the release list without touching its
-// busyCount (the caller re-baselines it).
+// busyCount (Node.leaveCS zeroes it).
 func (t *transmission) dropSensed(nd *Node) {
 	for i, x := range t.sensed {
 		if x == nd {
@@ -309,6 +309,40 @@ func overlapFrac(intf, victim *transmission, bonded bool) float64 {
 
 func (m *medium) putBuf(b []*Node) { m.bufs = append(m.bufs, b) }
 
+// hears is the one carrier-sense listener rule: the power nd receives
+// frame a at, and whether that clears CSThresholdDBm. The power is a's
+// sender gain plus the frame's own OBSS-PD TX backoff. On a bonded
+// medium energy detect integrates nd's whole 40 MHz operating span
+// {Channel, Channel+1}: a frame covering one of its two slots arrives
+// 3 dB weaker, a disjoint one is not heard. Nor is nd's own frame. The
+// start-time scan, the OBSS-PD reuse test, NAV adoption and the lazy
+// joinCS baseline all ask here, so lazy tracking cannot drift from
+// eager tracking.
+func (m *medium) hears(a *transmission, nd *Node) (float64, bool) {
+	if a.tx == nd {
+		return 0, false
+	}
+	p := m.net.rxPowerDBm(a.tx, nd) + a.backoffDB
+	if m.bonded {
+		ov := slotOverlap(a.chLo, a.chW, nd.bss.Channel, 2)
+		if ov == 0 {
+			return p, false
+		}
+		if ov < a.chW {
+			p += halfSlotDB
+		}
+	}
+	return p, p >= m.net.cfg.CSThresholdDBm
+}
+
+// ignores reports whether nd may disregard frame a, heard at p dBm,
+// under OBSS-PD spatial reuse: an inter-BSS (different-color) frame
+// below ObssPdThresholdDBm neither raises carrier sense nor sets NAV.
+// Same-color frames are always honored.
+func (m *medium) ignores(a *transmission, nd *Node, p float64) bool {
+	return m.net.obssOn && nd.bss.color != a.color && p < m.net.cfg.ObssPdThresholdDBm
+}
+
 // start puts tr on the air: it crosses interference with every active
 // transmission, then raises carrier sense at nodes in range. Nodes
 // whose backoff expires at exactly this instant transmit from inside
@@ -326,26 +360,10 @@ func (m *medium) start(tr *transmission) {
 		// inter-BSS frame sits in the ignore window [CSThresholdDBm,
 		// ObssPdThresholdDBm) is a spatial-reuse transmission and must
 		// back its TX power off by the dB the deferral threshold was
-		// relaxed. The window test replays the listener-side CS scan from
-		// the transmitter's seat: same bonded span adjustment, same
-		// backoff on the heard frame's own power.
+		// relaxed. The window is judged from the transmitter's seat by
+		// the same listener rule every carrier-sense path uses.
 		for _, a := range m.active {
-			if a.tx == tr.tx || a.color == tr.color {
-				continue
-			}
-			// The gain tables are symmetric, so read tr.tx's row (fixed
-			// across this loop) rather than walking a column.
-			p := m.net.rxPowerDBm(tr.tx, a.tx) + a.backoffDB
-			if m.bonded {
-				ov := slotOverlap(a.chLo, a.chW, tr.tx.bss.Channel, 2)
-				if ov == 0 {
-					continue
-				}
-				if ov < a.chW {
-					p += halfSlotDB
-				}
-			}
-			if p >= m.net.cfg.CSThresholdDBm && p < m.net.cfg.ObssPdThresholdDBm {
+			if p, ok := m.hears(a, tr.tx); ok && m.ignores(a, tr.tx, p) {
 				tr.backoffDB = m.net.obssBackoffDB
 				tr.scaleMw = m.net.obssScaleMw
 				m.sh.obssReuseTx++
@@ -401,43 +419,31 @@ func (m *medium) start(tr *transmission) {
 	}
 
 	// sensed rides a pooled buffer: it lives exactly until finish, which
-	// recycles it (reassociate may append to it mid-flight; that only
-	// grows the pooled slice). Only csTracked nodes — the ones with
+	// recycles it (a late joiner may insert into it mid-flight; that
+	// only grows the pooled slice). Only csTracked nodes — the ones with
 	// traffic, whose busyCount can matter — get carrier-sense
 	// bookkeeping; an idle station's pause would be a no-op anyway, and
-	// its busyCount is re-baselined from the active list the moment it
-	// next has something to send (Node.joinCS). On a realistic dense
-	// floor most associated stations are idle most of the time, so this
-	// is the difference between touching the whole neighborhood per
-	// frame and touching the handful of live contenders.
+	// Node.joinCS derives its busyCount from the active list by the same
+	// hears/ignores rule the moment it next has something to send. On a
+	// realistic dense floor most associated stations are idle most of
+	// the time, so this is the difference between touching the whole
+	// neighborhood per frame and touching the handful of live
+	// contenders.
 	tr.sensed = m.getBuf()
 	for _, nd := range m.csCandidates(tr.tx) {
-		if nd == tr.tx || !nd.csTracked {
+		if !nd.csTracked {
 			continue
 		}
-		p := m.net.rxPowerDBm(tr.tx, nd) + tr.backoffDB
-		if m.bonded {
-			// Energy detect integrates the listener's whole 40 MHz
-			// operating span {Channel, Channel+1}: a frame overlapping
-			// one of its two slots arrives at half power, a disjoint
-			// one not at all. Fractions only lower the power, so the
-			// csRangeM-sized grid cells stay a conservative superset.
-			ov := slotOverlap(tr.chLo, tr.chW, nd.bss.Channel, 2)
-			if ov == 0 {
-				continue
-			}
-			if ov < tr.chW {
-				p += halfSlotDB
-			}
-		}
-		if p < m.net.cfg.CSThresholdDBm {
+		// hears only ever lowers the power below the raw gain, so the
+		// csRangeM-sized grid cells stay a conservative superset.
+		p, ok := m.hears(tr, nd)
+		if !ok {
 			continue
 		}
-		if m.net.obssOn && nd.bss.color != tr.color && p < m.net.cfg.ObssPdThresholdDBm {
-			// OBSS-PD spatial reuse: an inter-BSS frame inside the
-			// [CS, OBSS-PD) window does not raise carrier sense — the
-			// listener stays free to transmit (at the coupled power
-			// backoff, which start applies when it does).
+		if m.ignores(tr, nd, p) {
+			// OBSS-PD spatial reuse: the listener stays free to transmit
+			// (at the coupled power backoff, which start applies when it
+			// does).
 			m.sh.obssIgnores++
 			if m.sh.probe != nil {
 				m.sh.probe.OnEvent(Event{TimeUs: m.sh.eng.Now(), Kind: EvObssIgnore,
@@ -472,8 +478,7 @@ func (m *medium) start(tr *transmission) {
 				// frame's slots cannot adopt its reservation.
 				continue
 			}
-			if m.net.obssOn && nd.bss.color != tr.color &&
-				m.net.rxPowerDBm(tr.tx, nd)+tr.backoffDB < m.net.cfg.ObssPdThresholdDBm {
+			if p, _ := m.hears(tr, nd); m.ignores(tr, nd, p) {
 				// A decoded inter-BSS reservation inside the OBSS-PD
 				// window is ignorable for NAV too — spatial reuse would
 				// be pointless if the color it ignores for energy detect
@@ -495,8 +500,8 @@ func (m *medium) start(tr *transmission) {
 // milliwatts start snapshotted into still-airing transmissions (not a
 // recomputed gain — an endpoint that roamed mid-frame would unwind a
 // different figure than was added), and releasing carrier sense at
-// exactly the nodes recorded in sensed (a roamer re-baselines itself by
-// dropping out of those lists).
+// exactly the nodes recorded in sensed (a roamer or a node going idle
+// drops out of those lists through Node.leaveCS).
 func (m *medium) finish(tr *transmission) {
 	for i, a := range m.active {
 		if a == tr {

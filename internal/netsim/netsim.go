@@ -935,54 +935,35 @@ func (n *Network) roamScan() {
 }
 
 // joinCS puts the node under live carrier-sense bookkeeping, deriving
-// its busyCount from the frames currently on the air (the same
-// re-baseline reassociate performs) so it is exactly what eager
-// maintenance would have accumulated. Each in-range frame learns the
-// node at its membership position, keeping the finish-time resume order
-// — and with it the event stream — bit-identical to a node that was
-// sensed from the frame's start.
+// its busyCount from the frames currently on the air by the same
+// listener rule (medium.hears, medium.ignores) the start-time scan
+// applies, so it is exactly what eager maintenance would have
+// accumulated. Each heard frame files the node at its membership
+// position, keeping the finish-time resume order — and with it the
+// event stream — bit-identical to a node sensed from the frame's start.
 func (nd *Node) joinCS() {
 	if nd.csTracked {
 		return
 	}
 	nd.csTracked = true
-	if nd.med.grid != nil {
-		nd.med.grid.setTracked(nd, true)
+	m := nd.med
+	if m.grid != nil {
+		m.grid.setTracked(nd, true)
 	}
-	net := nd.net
-	for _, a := range nd.med.active {
-		if a.tx == nd {
-			continue
+	for _, a := range m.active {
+		if p, ok := m.hears(a, nd); ok && !m.ignores(a, nd, p) {
+			a.insertSensed(nd)
+			nd.busyCount++
 		}
-		// A reusing frame was launched at reduced power (a.backoffDB) and
-		// arrives that much quieter; an inter-BSS frame inside the
-		// OBSS-PD window is ignorable here exactly as it was in the
-		// start-time scan, so a late joiner derives the same busyCount.
-		p := net.rxPowerDBm(a.tx, nd) + a.backoffDB
-		if p < net.cfg.CSThresholdDBm {
-			continue
-		}
-		if net.obssOn && a.color != nd.bss.color && p < net.cfg.ObssPdThresholdDBm {
-			continue
-		}
-		a.insertSensed(nd)
-		nd.busyCount++
 	}
 }
 
-// maybeLeaveCS retires the node from carrier-sense bookkeeping once it
-// has nothing in flight and nothing queued: it drops out of the release
-// lists of frames still on the air and zeroes busyCount, which joinCS
-// will recompute on the next arrival.
-func (nd *Node) maybeLeaveCS() {
-	if !nd.csTracked || nd.transmitting {
+// leaveCS takes the node out of carrier-sense bookkeeping: it drops
+// out of the release lists of frames still on the air and zeroes
+// busyCount, which joinCS recomputes.
+func (nd *Node) leaveCS() {
+	if !nd.csTracked {
 		return
-	}
-	for ac := range nd.acq {
-		q := &nd.acq[ac]
-		if len(q.queue) > 0 || q.contending {
-			return
-		}
 	}
 	nd.csTracked = false
 	if nd.med.grid != nil {
@@ -992,6 +973,21 @@ func (nd *Node) maybeLeaveCS() {
 		a.dropSensed(nd)
 	}
 	nd.busyCount = 0
+}
+
+// maybeLeaveCS retires the node from carrier-sense bookkeeping once it
+// has nothing in flight and nothing queued.
+func (nd *Node) maybeLeaveCS() {
+	if nd.transmitting {
+		return
+	}
+	for ac := range nd.acq {
+		q := &nd.acq[ac]
+		if len(q.queue) > 0 || q.contending {
+			return
+		}
+	}
+	nd.leaveCS()
 }
 
 // reassociate moves the station to the new BSS, switching media when
@@ -1011,37 +1007,21 @@ func (nd *Node) reassociate(b *BSS) {
 	oldAp := nd.bss.AP
 	nd.freezeBackoff()
 	nd.bss = b
-	// Drop out of the release lists of in-flight frames on the old
-	// medium, then re-baseline against the new medium's frames; each
-	// frame's finish decrements exactly the nodes in its sensed list,
-	// so the count stays paired even though gains just changed.
-	for _, tr := range old.active {
-		tr.dropSensed(nd)
-	}
+	// Carrier sense is re-baselined as a leave from the old medium and
+	// a join on the new one: each in-flight frame's finish decrements
+	// exactly the nodes in its sensed list, so the count stays paired
+	// even though the listener's span and gains just changed. Untracked
+	// roamers stay out; joinCS derives their busyCount when traffic
+	// next arrives.
+	tracked := nd.csTracked
+	nd.leaveCS()
 	if old != next {
 		old.remove(nd)
 		next.addNode(nd)
 		nd.med = next
 	}
-	nd.busyCount = 0
-	if nd.csTracked {
-		// Untracked roamers skip the re-baseline: their busyCount is
-		// derived fresh by joinCS when traffic next arrives.
-		net := nd.net
-		for _, tr := range nd.med.active {
-			if tr.tx == nd {
-				continue
-			}
-			p := net.rxPowerDBm(tr.tx, nd) + tr.backoffDB
-			if p < net.cfg.CSThresholdDBm {
-				continue
-			}
-			if net.obssOn && tr.color != nd.bss.color && p < net.cfg.ObssPdThresholdDBm {
-				continue
-			}
-			tr.sensed = append(tr.sensed, nd)
-			nd.busyCount++
-		}
+	if tracked {
+		nd.joinCS()
 	}
 	nd.tryResume()
 	nd.sh.emit(Event{Kind: EvRoam, Node: nd.id, Peer: b.AP.id,
@@ -1218,31 +1198,20 @@ type Result struct {
 
 func (n *Network) collect(durationUs float64) Result {
 	res := Result{DurationUs: durationUs, Shards: len(n.shards),
-		ModeAttempts: n.shards[0].modeAttempts}
+		ModeAttempts: make(map[string]int)}
 	if n.cfg.Aggregation != nil {
-		res.AmpduHist = n.shards[0].ampduHist
-	}
-	if len(n.shards) > 1 {
-		// Merge the per-shard histogram maps into fresh ones (the
-		// single-shard path above reuses shard 0's, exactly the map the
-		// pre-shard simulator returned).
-		res.ModeAttempts = make(map[string]int)
-		if n.cfg.Aggregation != nil {
-			res.AmpduHist = make(map[int]int)
-		}
-		for _, sh := range n.shards {
-			for k, v := range sh.modeAttempts {
-				res.ModeAttempts[k] += v
-			}
-			for k, v := range sh.ampduHist {
-				res.AmpduHist[k] += v
-			}
-		}
+		res.AmpduHist = make(map[int]int)
 	}
 	var attempts, delivered, collisions, noiseLoss [NumACs]int
 	var retryDrops, queueDrop [NumACs]int
 	var acAirtimeUs [NumACs]float64
 	for _, sh := range n.shards {
+		for k, v := range sh.modeAttempts {
+			res.ModeAttempts[k] += v
+		}
+		for k, v := range sh.ampduHist {
+			res.AmpduHist[k] += v
+		}
 		res.RtsAttempts += sh.rtsSent
 		res.RtsFailures += sh.rtsFailed
 		res.VirtualCollisions += sh.virtualColl

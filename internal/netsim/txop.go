@@ -258,12 +258,8 @@ func (nd *Node) applyBlockAck(tr *transmission, ok []bool) {
 		} else {
 			sh.noiseLoss[ac]++
 		}
-		if to := p.flow.To; nd.ap && to != nil && !to.ap && to.bss.AP != nd {
-			// The destination reassociated while the burst was in
-			// flight: hand the MPDU to its current AP instead of
-			// retrying from one it no longer listens to.
+		if nd.handOffRoamed(p) {
 			p.retries = 0
-			to.bss.AP.enqueue(p)
 			continue
 		}
 		p.retries++
