@@ -8,6 +8,7 @@ package mathx
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -153,24 +154,116 @@ func MinMax(xs []float64) (lo, hi float64) {
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between order statistics. It panics on an empty slice.
+// interpolation between order statistics. It panics on an empty slice and
+// leaves xs unmodified.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		panic("mathx: Percentile of empty slice")
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	return PercentileInPlace(append([]float64(nil), xs...), p)
+}
+
+// PercentileInPlace is Percentile for a caller whose slice may be
+// reordered, such as a scratch copy. Instead of sorting it selects the one
+// or two order statistics the interpolation reads, in expected linear
+// time. Order statistics do not depend on how they are found, and the
+// ordering is sort.Float64s' own (NaNs first), so the result equals that
+// of sorting bit for bit; only the sign of a zero may differ, because -0
+// and +0 tie and neither method specifies which of them a tied rank
+// holds.
+func PercentileInPlace(xs []float64, p float64) float64 {
+	n := len(xs)
+	if n == 0 {
+		panic("mathx: Percentile of empty slice")
+	}
 	if p <= 0 {
-		return s[0]
+		return minFloat(xs)
 	}
 	if p >= 100 {
-		return s[len(s)-1]
+		return maxFloat(xs)
 	}
-	pos := p / 100 * float64(len(s)-1)
+	pos := p / 100 * float64(n-1)
 	i := int(math.Floor(pos))
 	frac := pos - float64(i)
-	if i+1 >= len(s) {
-		return s[len(s)-1]
+	if i+1 >= n {
+		return maxFloat(xs)
 	}
-	return Lerp(s[i], s[i+1], frac)
+	selectNth(xs, i)
+	// Everything after rank i is no smaller, so rank i+1 is its minimum.
+	return Lerp(xs[i], minFloat(xs[i+1:]), frac)
+}
+
+// floatLess is the ordering of sort.Float64s: NaNs before every number.
+func floatLess(a, b float64) bool { return a < b || (math.IsNaN(a) && !math.IsNaN(b)) }
+
+func minFloat(xs []float64) float64 {
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if floatLess(x, m) {
+			m = x
+		}
+	}
+	return m
+}
+
+func maxFloat(xs []float64) float64 {
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if floatLess(m, x) {
+			m = x
+		}
+	}
+	return m
+}
+
+// selectNth reorders xs so that xs[k] holds what sorting would put there,
+// with nothing greater before it and nothing smaller after it. Three-way
+// partitioning around a median-of-three pivot keeps duplicate-heavy and
+// presorted input linear; a range that still resists after 2·log2(n)
+// rounds is sorted outright, which bounds the worst case at O(n log n).
+func selectNth(xs []float64, k int) {
+	lo, hi := 0, len(xs)
+	for budget := 2 * bits.Len(uint(len(xs))); hi-lo > 1; budget-- {
+		if budget == 0 {
+			sort.Float64s(xs[lo:hi])
+			return
+		}
+		pivot := median3(xs[lo], xs[lo+(hi-lo)/2], xs[hi-1])
+		// [lo,lt) < pivot, [lt,i) ties it, [gt,hi) > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := xs[i]; {
+			case floatLess(x, pivot):
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case floatLess(pivot, x):
+				gt--
+				xs[i], xs[gt] = xs[gt], x
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
+}
+
+func median3(a, b, c float64) float64 {
+	if floatLess(b, a) {
+		a, b = b, a
+	}
+	if floatLess(c, b) {
+		b = c
+		if floatLess(b, a) {
+			b = a
+		}
+	}
+	return b
 }

@@ -122,9 +122,7 @@ func (f *Flow) Inject(bytes int) bool {
 		panic(fmt.Sprintf("netsim: Flow.Inject bytes must be positive, got %d", bytes))
 	}
 	f.arrivals++
-	sh := f.src.sh
-	p := &packet{flow: f, bytes: bytes, arrivalUs: sh.eng.Now(), ac: f.ac}
-	return f.src.enqueue(p)
+	return f.src.enqueue(f.src.sh.newPacket(f, bytes))
 }
 
 // Schedule runs fn after delayUs of virtual time on the flow's shard
@@ -135,13 +133,23 @@ func (f *Flow) Schedule(delayUs float64, fn func()) sim.EventRef {
 	return f.src.sh.eng.Schedule(delayUs, fn)
 }
 
+// ScheduleHandler is Schedule for a handler object: a controller that
+// re-arms a timer on every fate passes a pointer record here, which,
+// unlike a method value, costs no allocation per arm.
+func (f *Flow) ScheduleHandler(delayUs float64, h sim.Handler) sim.EventRef {
+	return f.src.sh.eng.ScheduleHandler(delayUs, h)
+}
+
 // NowUs is the current virtual time on the flow's shard engine.
 func (f *Flow) NowUs() float64 { return f.src.sh.eng.Now() }
 
-// fate reports a packet's final outcome to the flow's controller; one
-// nil-check when no Control is attached.
-func (f *Flow) fate(kind PacketFate, p *packet, nowUs float64) {
+// fate reports a packet's final outcome to the flow's controller — one
+// nil-check when no Control is attached — and then retires the record
+// to the pool of sh, the shard the packet ended on. Every final fate
+// passes through here exactly once, so nothing may touch p afterwards.
+func (f *Flow) fate(kind PacketFate, p *packet, sh *shard) {
 	if f.control != nil {
-		f.control.PacketFate(kind, p.bytes, nowUs-p.arrivalUs)
+		f.control.PacketFate(kind, p.bytes, sh.eng.Now()-p.arrivalUs)
 	}
+	sh.releasePacket(p)
 }

@@ -48,6 +48,86 @@ import (
 // whole slots.
 const slotEps = 1e-6
 
+// pktQueue is a FIFO transmit queue held as the window buf[head:] of
+// one backing array. Popping advances head; pushing appends, first
+// sliding the window back to the start of the array when the tail is
+// out of room; pushFront refills the slots popping freed. Once the
+// array has grown to the queue's working depth no operation allocates,
+// where re-slicing a plain []*packet would lose its front capacity on
+// every pop and reallocate on a later append.
+type pktQueue struct {
+	buf  []*packet
+	head int
+}
+
+func (q *pktQueue) len() int { return len(q.buf) - q.head }
+
+// items is the queued packets in order, valid until the next mutation.
+func (q *pktQueue) items() []*packet { return q.buf[q.head:] }
+
+func (q *pktQueue) front() *packet { return q.buf[q.head] }
+
+// pop removes the first k packets.
+func (q *pktQueue) pop(k int) {
+	clear(q.buf[q.head : q.head+k])
+	q.head += k
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
+
+// push appends p at the tail.
+func (q *pktQueue) push(p *packet) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 {
+		n := copy(q.buf, q.buf[q.head:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, p)
+}
+
+// pushFront puts ps back at the head of the queue, in their order. ps
+// must not alias the queue's own array.
+func (q *pktQueue) pushFront(ps []*packet) {
+	k := len(ps)
+	if k > q.head {
+		// Too few free slots in front: move the window so exactly k
+		// open up before it.
+		win := q.items()
+		if need := k + len(win); need > cap(q.buf) {
+			nb := make([]*packet, need, 2*need)
+			copy(nb[k:], win)
+			q.buf = nb
+		} else {
+			q.buf = q.buf[:need]
+			copy(q.buf[k:], win)
+		}
+		q.head = k
+	}
+	q.head -= k
+	copy(q.buf[q.head:], ps)
+}
+
+// removeIf takes every packet drop reports true for (given its
+// position and the packet) out of the queue, keeps the rest in order,
+// and returns the removed ones.
+func (q *pktQueue) removeIf(drop func(i int, p *packet) bool) (removed []*packet) {
+	win := q.items()
+	kept := win[:0]
+	for i, p := range win {
+		if drop(i, p) {
+			removed = append(removed, p)
+		} else {
+			kept = append(kept, p)
+		}
+	}
+	clear(win[len(kept):])
+	q.buf = q.buf[:q.head+len(kept)]
+	if len(kept) == 0 {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return removed
+}
+
 // acQueue is one access category's transmit queue plus its EDCA
 // contention state. The per-node state that all categories share —
 // physical carrier sense, NAV, the half-duplex transmitting flag —
@@ -56,14 +136,15 @@ type acQueue struct {
 	node *Node
 	ac   AC
 
-	queue        []*packet
+	queue        pktQueue
 	cw           int
 	backoffSlots int
 	retries      int
 	contending   bool
-	boEvent      sim.EventRef
-	boStartUs    float64
-	fireAtUs     float64
+	// boEvent is the armed countdown (its Time is when it fires);
+	// boStartUs is when its slot countdown began, after the AIFS.
+	boEvent   sim.EventRef
+	boStartUs float64
 }
 
 // params is the category's live EDCA parameter set.
@@ -72,26 +153,27 @@ func (q *acQueue) params() *AcParams { return &q.node.net.edca[q.ac] }
 // enqueue appends a packet to its category's queue, kicking off
 // contention if that queue was idle. Full queues drop the arrival
 // (drop-tail per category) and charge both the flow and the per-AC
-// counter.
+// counter; the drop is the packet's final fate, so its record goes
+// back to the shard's pool.
 func (nd *Node) enqueue(p *packet) bool {
 	q := &nd.acq[p.ac]
 	sh := nd.sh
-	if len(q.queue) >= q.params().QueueLimit {
+	if q.queue.len() >= q.params().QueueLimit {
 		sh.queueDrop[p.ac]++
 		p.flow.queueDrops++
 		if sh.probe != nil {
 			sh.probe.OnEvent(Event{TimeUs: sh.eng.Now(), Kind: EvQueueDrop,
 				AC: p.ac, Node: nd.id, Peer: -1, Bytes: p.bytes})
 		}
-		p.flow.fate(FateQueueDrop, p, sh.eng.Now())
+		p.flow.fate(FateQueueDrop, p, sh)
 		return false
 	}
 	nd.joinCS()
-	q.queue = append(q.queue, p)
+	q.queue.push(p)
 	if sh.probe != nil {
 		sh.probe.OnEvent(Event{TimeUs: sh.eng.Now(), Kind: EvEnqueue,
 			AC: p.ac, Node: nd.id, Peer: -1, Bytes: p.bytes,
-			Value: float64(len(q.queue))})
+			Value: float64(q.queue.len())})
 	}
 	if !q.contending && !nd.transmitting {
 		q.startContention()
@@ -115,7 +197,7 @@ func (q *acQueue) startContention() {
 func (nd *Node) recontend() {
 	for ac := range nd.acq {
 		q := &nd.acq[ac]
-		if len(q.queue) > 0 && !q.contending {
+		if q.queue.len() > 0 && !q.contending {
 			q.startContention()
 		} else if q.contending {
 			q.tryResume()
@@ -142,8 +224,7 @@ func (q *acQueue) tryResume() {
 	p := q.params()
 	q.boStartUs = sh.eng.Now() + p.AifsUs
 	delay := p.AifsUs + float64(q.backoffSlots)*nd.net.cfg.Dcf.SlotUs
-	q.fireAtUs = sh.eng.Now() + delay
-	q.boEvent = sh.eng.Schedule(delay, q.fire)
+	q.boEvent = sh.eng.ScheduleHandler(delay, q)
 	if sh.probe != nil {
 		sh.probe.OnEvent(Event{TimeUs: sh.eng.Now(), Kind: EvBackoffResume,
 			AC: q.ac, Node: nd.id, Peer: -1, Value: float64(q.backoffSlots)})
@@ -158,18 +239,19 @@ func (nd *Node) tryResume() {
 	}
 }
 
-// fire is a countdown expiring. Sibling categories whose countdowns
-// reached zero in this very slot lose the internal arbitration to the
-// highest category — the 802.11e virtual collision — and the winner
-// transmits.
-func (q *acQueue) fire() {
+// Fire is a countdown expiring (the queue is its own countdown event's
+// handler, so arming it allocates nothing). Sibling categories whose
+// countdowns reached zero in this very slot lose the internal
+// arbitration to the highest category — the 802.11e virtual collision
+// — and the winner transmits.
+func (q *acQueue) Fire() {
 	q.boEvent = sim.EventRef{}
 	nd := q.node
 	now := nd.sh.eng.Now()
 	winner := q
 	for ac := range nd.acq {
 		s := &nd.acq[ac]
-		if s == q || !s.boEvent.Scheduled() || s.fireAtUs > now+slotEps {
+		if s == q || !s.boEvent.Scheduled() || s.boEvent.Time() > now+slotEps {
 			continue
 		}
 		s.boEvent.Cancel()
@@ -196,10 +278,10 @@ func (q *acQueue) exchangeFailed(dropHead bool) {
 	if q.retries > nd.net.cfg.Dcf.RetryLimit {
 		q.cw = q.params().CWMin
 		q.retries = 0
-		if dropHead && len(q.queue) > 0 {
+		if dropHead && q.queue.len() > 0 {
 			nd.sh.retryDrops[q.ac]++
-			p := q.queue[0]
-			q.queue = q.queue[1:]
+			p := q.queue.front()
+			q.queue.pop(1)
 			p.flow.dropped(p, nd)
 		}
 	} else {
@@ -220,7 +302,7 @@ func (q *acQueue) virtualCollision() {
 			AC: q.ac, Node: q.node.id, Peer: -1})
 	}
 	q.exchangeFailed(true)
-	if len(q.queue) == 0 {
+	if q.queue.len() == 0 {
 		q.contending = false
 		return
 	}
@@ -336,15 +418,32 @@ func (nd *Node) shrinkNav(untilUs float64) {
 
 func (nd *Node) armNavEvent(untilUs float64) {
 	nd.navEvent.Cancel()
-	nd.navEvent = nd.sh.eng.At(untilUs, func() {
-		nd.navEvent = sim.EventRef{}
-		if sh := nd.sh; sh.probe != nil {
-			sh.probe.OnEvent(Event{TimeUs: sh.eng.Now(), Kind: EvNavExpire,
-				Node: nd.id, Peer: -1})
-		}
-		nd.tryResume()
-	})
+	nd.navEvent = nd.sh.eng.AtHandler(untilUs, (*navExpiry)(nd))
 }
+
+// Timer handlers (navExpiry, txopContinue here, flowArrival in
+// traffic.go) are a Node or Flow seen through a named pointer type, one
+// per kind of timer, so scheduling one stores the record's own pointer:
+// no closure or method value is allocated per event.
+
+// navExpiry is a node's NAV reservation lapsing: contention re-arms.
+type navExpiry Node
+
+func (x *navExpiry) Fire() {
+	nd := (*Node)(x)
+	nd.navEvent = sim.EventRef{}
+	if sh := nd.sh; sh.probe != nil {
+		sh.probe.OnEvent(Event{TimeUs: sh.eng.Now(), Kind: EvNavExpire,
+			Node: nd.id, Peer: -1})
+	}
+	nd.tryResume()
+}
+
+// txopContinue is the SIFS gap inside a held TXOP ending: the next
+// exchange is built and launched, or the opportunity released.
+type txopContinue Node
+
+func (x *txopContinue) Fire() { (*Node)(x).nextExchange() }
 
 // bankElapsedSlots subtracts the whole slots that elapsed since the
 // countdown started. It reports whether the countdown phase (post-AIFS)
@@ -421,7 +520,8 @@ func (nd *Node) rcFor(rx *Node) rateController {
 }
 
 // transmit is a queue winning contention: it obtains the transmit
-// opportunity its category's TxopLimitUs allows and launches the first
+// opportunity its category's TxopLimitUs allows — a record off the
+// shard's pool, returned by releaseTxop — and launches the first
 // exchange the builder assembles. The node's other countdowns freeze
 // for the duration — an EDCAF senses its own transmission as a busy
 // medium.
@@ -430,7 +530,9 @@ func (nd *Node) transmit(q *acQueue) {
 	nd.freezeBackoff()
 	nd.transmitting = true
 	sh := nd.sh
-	nd.txop = &Txop{q: q, StartUs: sh.eng.Now(), LimitUs: q.params().TxopLimitUs}
+	t := sh.txopPool.get()
+	t.q, t.StartUs, t.LimitUs = q, sh.eng.Now(), q.params().TxopLimitUs
+	nd.txop = t
 	sh.txops++
 	if sh.probe != nil {
 		sh.probe.OnEvent(Event{TimeUs: sh.eng.Now(), Kind: EvTxopOpen,
@@ -439,17 +541,28 @@ func (nd *Node) transmit(q *acQueue) {
 	nd.launch(nd.buildExchange(nd.txop))
 }
 
-// emitTxopClose reports the release of a held transmit opportunity,
-// with the hold time as Value. Call before clearing nd.txop; a nil txop
-// (the CTS responder's stand-down path) emits nothing.
-func (nd *Node) emitTxopClose() {
-	sh := nd.sh
-	if sh.probe == nil || nd.txop == nil {
+// releaseTxop ends the node's transmit opportunity: it reports the
+// release with the hold time as Value and returns the record — its
+// exchange and their backing arrays included — to the shard's pool. A
+// nil txop (the CTS responder's stand-down path) does nothing. Only
+// transmit takes records off the pool, and no completion path reaches
+// it synchronously, so the caller may finish reading the exchange
+// (fail requeues an RTS-protected burst from it) before returning; the
+// exchange's transmission records keep pointing at it but are never
+// read after their completion.
+func (nd *Node) releaseTxop() {
+	t := nd.txop
+	if t == nil {
 		return
 	}
-	now := sh.eng.Now()
-	sh.probe.OnEvent(Event{TimeUs: now, Kind: EvTxopClose,
-		AC: nd.txop.q.ac, Node: nd.id, Peer: -1, Value: now - nd.txop.StartUs})
+	sh := nd.sh
+	if sh.probe != nil {
+		now := sh.eng.Now()
+		sh.probe.OnEvent(Event{TimeUs: now, Kind: EvTxopClose,
+			AC: t.q.ac, Node: nd.id, Peer: -1, Value: now - t.StartUs})
+	}
+	nd.txop = nil
+	sh.txopPool.put(t)
 }
 
 // sendRts puts the short RTS on the air. Its SINR — not the data
@@ -466,7 +579,7 @@ func (nd *Node) sendRts(ex *exchange) {
 	tr := &transmission{kind: FrameRts, tx: nd, rx: ex.rx, pkt: ex.mpdus[0], ex: ex,
 		mode: net.robustMode(), navUntilUs: nav, startUs: sh.eng.Now()}
 	nd.med.start(tr)
-	sh.eng.Schedule(net.rtsAirUs(), func() { nd.completeRts(tr) })
+	sh.eng.ScheduleHandler(net.rtsAirUs(), tr)
 }
 
 // completeRts judges the RTS. Success draws the receiver's CTS a SIFS
@@ -548,25 +661,54 @@ func (nd *Node) sendCts(rts *transmission) {
 	nd.transmitting = true
 	nd.curPkt = nil
 	nav := sh.eng.Now() + net.ctsAirUs() + d.SIFSUs + rts.ex.dataAirUs()
-	tr := &transmission{kind: FrameCts, tx: nd, rx: peer, pkt: rts.pkt,
+	tr := &transmission{kind: FrameCts, tx: nd, rx: peer, pkt: rts.pkt, ex: rts.ex,
 		mode: net.robustMode(), navUntilUs: nav, startUs: sh.eng.Now()}
 	nd.med.start(tr)
-	sh.eng.Schedule(net.ctsAirUs(), func() {
-		nd.med.finish(tr)
-		nd.transmitting = false
-		// Honor the reservation this CTS just granted: the responder's
-		// own contention holds until the exchange it solicited ends.
-		// Physical carrier sense cannot be relied on here — the data
-		// sender may sit below the responder's energy-detect threshold
-		// (decode-only range), and a backoff firing mid-data would doom
-		// the very frame the CTS invited.
-		nd.setNav(nav)
-		// A packet that arrived while the CTS was on the air found the
-		// node transmitting and skipped startContention; pick it up now.
-		// The countdowns sendCts froze resume via tryResume at NAV end.
-		nd.recontend()
-		sh.eng.Schedule(d.SIFSUs, func() { peer.sendData(rts.ex) })
-	})
+	sh.eng.ScheduleHandler(net.ctsAirUs(), tr)
+}
+
+// completeCts ends the responder's CTS and hands the exchange back to
+// the data sender a SIFS later.
+func (nd *Node) completeCts(tr *transmission) {
+	nd.med.finish(tr)
+	nd.transmitting = false
+	// Honor the reservation this CTS just granted: the responder's own
+	// contention holds until the exchange it solicited ends. Physical
+	// carrier sense cannot be relied on here — the data sender may sit
+	// below the responder's energy-detect threshold (decode-only
+	// range), and a backoff firing mid-data would doom the very frame
+	// the CTS invited.
+	nd.setNav(tr.navUntilUs)
+	// A packet that arrived while the CTS was on the air found the node
+	// transmitting and skipped startContention; pick it up now. The
+	// countdowns sendCts froze resume via tryResume at NAV end.
+	nd.recontend()
+	peer, ex := tr.rx, tr.ex
+	nd.sh.eng.Schedule(nd.net.cfg.Dcf.SIFSUs, func() { peer.sendData(ex) })
+}
+
+// Fire is the frame leaving the air: its sender judges it. The record
+// is its own end-of-airtime handler, so scheduling it allocates nothing
+// beyond the record itself. A judged data frame's record returns to the
+// shard's pool when gains are static: then only the medium's active
+// list and this event ever point at it. Under mobility the
+// interference snapshots of frames still on the air do too
+// (contribution.to, checked through done), so there the record is left
+// to the collector, as are the RTS and CTS records, which the
+// handshake's later steps read.
+func (tr *transmission) Fire() {
+	switch tr.kind {
+	case FrameData:
+		nd := tr.tx
+		nd.complete(tr)
+		if nd.net.cfg.RoamIntervalUs <= 0 {
+			nd.sh.txPool.put(tr)
+		}
+	case FrameRts:
+		tr.tx.completeRts(tr)
+	case FrameCts:
+		tr.tx.completeCts(tr)
+	}
 }
 
 // sendData puts the exchange's data portion on the air — one MPDU
@@ -581,10 +723,11 @@ func (nd *Node) sendData(ex *exchange) {
 	for _, p := range ex.mpdus {
 		p.flow.attemptedMpdu(ex.mode.RateMbps)
 	}
-	tr := &transmission{kind: FrameData, tx: nd, rx: ex.rx, pkt: ex.mpdus[0], ex: ex,
+	tr := sh.txPool.get()
+	*tr = transmission{kind: FrameData, tx: nd, rx: ex.rx, pkt: ex.mpdus[0], ex: ex,
 		mode: ex.mode, startUs: sh.eng.Now()}
 	nd.med.start(tr)
-	sh.eng.Schedule(ex.dataAirUs(), func() { nd.complete(tr) })
+	sh.eng.ScheduleHandler(ex.dataAirUs(), tr)
 }
 
 // complete ends the exchange's data portion: judge it, update the ARF
@@ -618,7 +761,7 @@ func (nd *Node) complete(tr *transmission) {
 	q := &nd.acq[tr.pkt.ac]
 	deliver := func() {
 		sh.delivered[tr.pkt.ac]++
-		q.queue = q.queue[1:]
+		q.queue.pop(1)
 		q.cw = q.params().CWMin
 		q.retries = 0
 		if c := nd.rcFor(tr.rx); c != nil {
@@ -645,8 +788,8 @@ func (nd *Node) complete(tr *transmission) {
 		// it must treat every queued packet as movable.
 		nd.curPkt = nil
 		deliver()
-		if len(q.queue) > 0 {
-			sh.eng.Schedule(net.cfg.Dcf.SIFSUs, nd.nextExchange)
+		if q.queue.len() > 0 {
+			sh.eng.ScheduleHandler(net.cfg.Dcf.SIFSUs, (*txopContinue)(nd))
 			return
 		}
 		nd.endTxop()
@@ -654,8 +797,7 @@ func (nd *Node) complete(tr *transmission) {
 	}
 	nd.transmitting = false
 	nd.curPkt = nil
-	nd.emitTxopClose()
-	nd.txop = nil
+	nd.releaseTxop()
 	deliver()
 	nd.recontend()
 }
@@ -673,8 +815,7 @@ func (nd *Node) fail(tr *transmission) {
 	sh := nd.sh
 	nd.transmitting = false
 	nd.curPkt = nil
-	nd.emitTxopClose()
-	nd.txop = nil
+	nd.releaseTxop()
 	ac := tr.pkt.ac
 	if tr.kind == FrameRts {
 		// Only the RTS aired; data exchanges account their full span in
@@ -695,7 +836,7 @@ func (nd *Node) fail(tr *transmission) {
 		return
 	}
 	if nd.handOffRoamed(tr.pkt) {
-		q.queue = q.queue[1:]
+		q.queue.pop(1)
 		q.cw = q.params().CWMin
 		q.retries = 0
 		nd.recontend()
@@ -712,7 +853,7 @@ func (nd *Node) fail(tr *transmission) {
 // limit, reset while the head frame is shed like any over-retried
 // frame.
 func (nd *Node) failAmpduRts(q *acQueue, ex *exchange) {
-	keep := make([]*packet, 0, len(ex.mpdus))
+	keep := ex.mpdus[:0] // in-place filter; the burst is not read again
 	for _, p := range ex.mpdus {
 		if nd.handOffRoamed(p) {
 			p.retries = 0
@@ -720,7 +861,7 @@ func (nd *Node) failAmpduRts(q *acQueue, ex *exchange) {
 		}
 		keep = append(keep, p)
 	}
-	q.queue = append(keep, q.queue...)
+	q.queue.pushFront(keep)
 	q.exchangeFailed(true)
 	nd.recontend()
 }

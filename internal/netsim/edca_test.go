@@ -220,7 +220,7 @@ func TestRoamingHandoffStrandsNoPackets(t *testing.T) {
 			continue
 		}
 		for ac := range nd.acq {
-			for _, p := range nd.acq[ac].queue {
+			for _, p := range nd.acq[ac].queue.items() {
 				if p.flow.To == walker {
 					t.Errorf("packet for %s stranded at %s after reassociation", walker.Name, nd.Name)
 				}
@@ -232,7 +232,7 @@ func TestRoamingHandoffStrandsNoPackets(t *testing.T) {
 	queued := 0
 	for _, nd := range n.nodes {
 		for ac := range nd.acq {
-			queued += len(nd.acq[ac].queue)
+			queued += nd.acq[ac].queue.len()
 		}
 	}
 	acct := fs.Delivered + fs.QueueDrops + fs.RetryDrops + queued

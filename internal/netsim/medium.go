@@ -119,9 +119,9 @@ type transmission struct {
 	backoffDB float64
 	scaleMw   float64
 
-	// ex is the frame exchange this transmission belongs to (set on RTS
-	// and data frames; pkt is its first MPDU). The CTS, sent by the
-	// responder, carries only pkt.
+	// ex is the frame exchange this transmission belongs to; pkt is its
+	// first MPDU. The CTS, sent by the responder, carries the sender's
+	// exchange so its end can hand the sequence back.
 	ex *exchange
 
 	// navUntilUs, when positive, is the absolute time the frame's

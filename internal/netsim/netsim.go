@@ -47,6 +47,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/channel"
@@ -441,6 +442,11 @@ type Node struct {
 // counts this packet's failed MPDU attempts under aggregation, where
 // retry state is per packet (a Block-ACK retransmits individual MPDUs)
 // rather than per queue head as in the single-frame exchange.
+//
+// Records are recycled through the shard's pool: a packet is released
+// after its final fate callback (Flow.fate: delivered, retry drop, queue
+// drop) and never on a relay or roaming handoff, where it lives on in
+// another queue.
 type packet struct {
 	flow      *Flow
 	bytes     int
@@ -983,7 +989,7 @@ func (nd *Node) maybeLeaveCS() {
 	}
 	for ac := range nd.acq {
 		q := &nd.acq[ac]
-		if len(q.queue) > 0 || q.contending {
+		if q.queue.len() > 0 || q.contending {
 			return
 		}
 	}
@@ -1043,28 +1049,21 @@ func (n *Network) handoffDownlink(st, oldAp, newAp *Node) {
 	for ac := range oldAp.acq {
 		q := &oldAp.acq[ac]
 		var oldHead *packet
-		if len(q.queue) > 0 {
-			oldHead = q.queue[0]
+		if q.queue.len() > 0 {
+			oldHead = q.queue.front()
 		}
-		var moved []*packet
-		kept := q.queue[:0]
-		for i, p := range q.queue {
+		moved := q.queue.removeIf(func(i int, p *packet) bool {
 			inFlight := i == 0 && oldAp.transmitting && p == oldAp.curPkt
-			if !inFlight && p.flow.To == st {
-				moved = append(moved, p)
-			} else {
-				kept = append(kept, p)
-			}
-		}
-		q.queue = kept
-		if oldHead != nil && (len(q.queue) == 0 || q.queue[0] != oldHead) {
+			return !inFlight && p.flow.To == st
+		})
+		if oldHead != nil && (q.queue.len() == 0 || q.queue.front() != oldHead) {
 			// The head-of-line frame left with the station: its retry
 			// count and doubled window must not be charged to whatever
 			// frame is next.
 			q.retries = 0
 			q.cw = q.params().CWMin
 		}
-		if q.contending && len(q.queue) == 0 {
+		if q.contending && q.queue.len() == 0 {
 			// Nothing left to send: stand down rather than letting the
 			// countdown fire on an empty queue.
 			q.boEvent.Cancel()
@@ -1230,7 +1229,6 @@ func (n *Network) collect(durationUs float64) Result {
 			acAirtimeUs[ac] += sh.acAirtimeUs[ac]
 		}
 	}
-	var delaysByAC [NumACs][]float64
 	for ac := 0; ac < int(NumACs); ac++ {
 		res.PerAC[ac] = ACStats{
 			Attempts: attempts[ac], Delivered: delivered[ac],
@@ -1245,18 +1243,35 @@ func (n *Network) collect(durationUs float64) Result {
 		res.RetryDrops += retryDrops[ac]
 		res.QueueDrops += queueDrop[ac]
 	}
+	// One scratch buffer serves every delay percentile: it is sized for
+	// the largest per-AC pool, which holds at least as many samples as
+	// any one flow.
+	var pooled [NumACs]int
 	for _, f := range n.flows {
-		fs := f.stats(durationUs)
+		pooled[f.ac] += len(f.delaysUs)
+	}
+	scratch := make([]float64, 0, slices.Max(pooled[:]))
+	res.Flows = make([]FlowStats, 0, len(n.flows))
+	for _, f := range n.flows {
+		fs := f.stats(durationUs, scratch)
 		res.Flows = append(res.Flows, fs)
 		res.AggGoodputMbps += fs.GoodputMbps
 		res.PerAC[f.ac].Flows++
-		delaysByAC[f.ac] = append(delaysByAC[f.ac], f.delaysUs...)
 	}
-	for ac := range delaysByAC {
-		if d := delaysByAC[ac]; len(d) > 0 {
-			res.PerAC[ac].MeanDelayUs = mathx.Mean(d)
-			res.PerAC[ac].P95DelayUs = mathx.Percentile(d, 95)
+	for ac, size := range pooled {
+		if size == 0 {
+			continue
 		}
+		// The pool concatenates the category's flows in flow order, so
+		// the mean sums in the same order as ever.
+		d := scratch[:0]
+		for _, f := range n.flows {
+			if int(f.ac) == ac {
+				d = append(d, f.delaysUs...)
+			}
+		}
+		res.PerAC[ac].MeanDelayUs = mathx.Mean(d)
+		res.PerAC[ac].P95DelayUs = mathx.PercentileInPlace(d, 95)
 	}
 	res.BssGoodputMbps = make([]float64, len(n.bss))
 	for i, b := range n.bssBytes {

@@ -106,7 +106,7 @@ func (s *sampler) record(nowUs float64) {
 	navSet := 0
 	for _, nd := range n.nodes {
 		for ac := range nd.acq {
-			depth[ac] += len(nd.acq[ac].queue)
+			depth[ac] += nd.acq[ac].queue.len()
 		}
 		if nd.navUntilUs > nowUs {
 			navSet++

@@ -58,6 +58,16 @@ type shard struct {
 	// mobility forces single-shard, so the clear never races).
 	modeCache map[[2]int]linkmodel.Mode
 
+	// Record pools for the MAC hot path, so a steady-state run
+	// allocates none of these: packets live from arrival (newPacket) to
+	// their final fate (Flow.fate), TXOP records — each with its
+	// exchange — from a contention win (transmit) to releaseTxop, and
+	// data-frame transmissions from sendData to their judgment
+	// (transmission.Fire).
+	pktPool  pool[packet]
+	txopPool pool[Txop]
+	txPool   pool[transmission]
+
 	// Run counters, mirrored from the pre-shard Network fields; collect
 	// sums them across shards.
 	attempts, delivered   [NumACs]int
@@ -84,6 +94,39 @@ func newShard(n *Network, idx int) *shard {
 		sh.ampduHist = make(map[int]int)
 	}
 	return sh
+}
+
+// pool is a free list of recycled records. get hands out a released
+// record as is — the caller reinitializes what it needs — and
+// allocates only while the pool is still growing to the shard's live
+// set.
+type pool[T any] struct{ free []*T }
+
+func (p *pool[T]) get() *T {
+	if n := len(p.free); n > 0 {
+		r := p.free[n-1]
+		p.free = p.free[:n-1]
+		return r
+	}
+	return new(T)
+}
+
+func (p *pool[T]) put(r *T) { p.free = append(p.free, r) }
+
+// newPacket is a fresh packet of flow f arriving now, on a recycled
+// record.
+func (sh *shard) newPacket(f *Flow, bytes int) *packet {
+	p := sh.pktPool.get()
+	*p = packet{flow: f, bytes: bytes, arrivalUs: sh.eng.Now(), ac: f.ac}
+	return p
+}
+
+// releasePacket retires a packet after its final fate. The record is
+// zeroed first, so a stray later use finds no flow rather than another
+// packet's data.
+func (sh *shard) releasePacket(p *packet) {
+	*p = packet{}
+	sh.pktPool.put(p)
 }
 
 // mediumFor returns the shard's medium for the channel, creating it on

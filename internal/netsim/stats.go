@@ -40,8 +40,10 @@ func (s FlowStats) DropRate() float64 {
 	return float64(s.QueueDrops+s.RetryDrops) / float64(s.Arrivals)
 }
 
-// stats freezes the flow's accumulators into a FlowStats.
-func (f *Flow) stats(durationUs float64) FlowStats {
+// stats freezes the flow's accumulators into a FlowStats. scratch has
+// room for the flow's delay samples; the percentile is selected on a
+// copy there, overwriting it.
+func (f *Flow) stats(durationUs float64, scratch []float64) FlowStats {
 	to := "AP"
 	if f.To != nil {
 		to = f.To.Name
@@ -65,7 +67,7 @@ func (f *Flow) stats(durationUs float64) FlowStats {
 	if len(f.delaysUs) > 0 {
 		s.MeanDelayUs = mathx.Mean(f.delaysUs)
 		_, s.MaxDelayUs = mathx.MinMax(f.delaysUs)
-		s.P95DelayUs = mathx.Percentile(f.delaysUs, 95)
+		s.P95DelayUs = mathx.PercentileInPlace(append(scratch[:0], f.delaysUs...), 95)
 	}
 	return s
 }

@@ -75,7 +75,7 @@ func TestFlowStatsDelayEdges(t *testing.T) {
 			Gen:      Saturated{PayloadBytes: 1000},
 			delaysUs: delays,
 		}
-		return f.stats(1e6)
+		return f.stats(1e6, nil)
 	}
 	s := mk(nil)
 	if s.MeanDelayUs != 0 || s.MaxDelayUs != 0 || s.P95DelayUs != 0 {

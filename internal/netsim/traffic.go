@@ -196,7 +196,7 @@ func (f *Flow) start() {
 			// to cross a seam. A Pull flow schedules nothing — its
 			// Control injects on demand.
 			sh := f.src.sh
-			sh.eng.Schedule(f.Gen.firstGapUs(sh.src), func() { f.arrive() })
+			sh.eng.ScheduleHandler(f.Gen.firstGapUs(sh.src), (*flowArrival)(f))
 		}
 	}
 	if f.control != nil {
@@ -211,14 +211,19 @@ func (f *Flow) start() {
 func (f *Flow) arrive() bool {
 	f.arrivals++
 	sh := f.src.sh
-	p := &packet{flow: f, bytes: f.Gen.Bytes(), arrivalUs: sh.eng.Now(), ac: f.ac}
-	ok := f.src.enqueue(p)
+	ok := f.src.enqueue(sh.newPacket(f, f.Gen.Bytes()))
 	if f.saturated {
 		return ok
 	}
-	sh.eng.Schedule(f.Gen.nextGapUs(sh.src), func() { f.arrive() })
+	sh.eng.ScheduleHandler(f.Gen.nextGapUs(sh.src), (*flowArrival)(f))
 	return ok
 }
+
+// flowArrival is a timed generator's next packet arriving, as an
+// engine handler (see navExpiry).
+type flowArrival Flow
+
+func (x *flowArrival) Fire() { (*Flow)(x).arrive() }
 
 // burstDepth is how many packets a saturated flow keeps queued: one
 // under single-frame exchanges (the legacy full-buffer model drip-feeds
@@ -240,7 +245,7 @@ func (f *Flow) burstDepth() int {
 // node (the per-AC queue may be shared with other flows).
 func (f *Flow) queuedAtSrc() int {
 	cnt := 0
-	for _, p := range f.src.acq[f.ac].queue {
+	for _, p := range f.src.acq[f.ac].queue.items() {
 		if p.flow == f {
 			cnt++
 		}
@@ -301,12 +306,12 @@ func (f *Flow) delivered(p *packet, nowUs float64, tx *Node) {
 	}
 	f.lastDelayUs, f.hasLast = d, true
 	f.refill(tx)
-	f.fate(FateDelivered, p, nowUs)
+	f.fate(FateDelivered, p, tx.sh)
 }
 
 // dropped records a retry-limit drop at tx and refills saturated flows.
 func (f *Flow) dropped(p *packet, tx *Node) {
 	f.lineDrops++
 	f.refill(tx)
-	f.fate(FateRetryDrop, p, tx.sh.eng.Now())
+	f.fate(FateRetryDrop, p, tx.sh)
 }

@@ -369,9 +369,16 @@ func (c *Conn) armRTO() {
 	c.rtoEvent.Cancel()
 	c.rtoEvent = sim.EventRef{}
 	if c.inflight > 0 {
-		c.rtoEvent = c.flow.Schedule(c.RTOUs, c.onRTO)
+		c.rtoEvent = c.flow.ScheduleHandler(c.RTOUs, (*rtoTimer)(c))
 	}
 }
+
+// rtoTimer is the Conn as its retransmission timer's handler: armRTO
+// re-arms on every fate, and scheduling the Conn's own pointer
+// allocates nothing where the method value c.onRTO would.
+type rtoTimer Conn
+
+func (t *rtoTimer) Fire() { (*Conn)(t).onRTO() }
 
 // onRTO fires when no fate arrived for a full timeout: the pipe is
 // stalled somewhere in the MAC's queues, so collapse the window, back

@@ -20,7 +20,8 @@ import "repro/internal/linkmodel"
 // frame raises carrier sense again.
 
 // Txop is one transmit opportunity: the contention win that lets a
-// queue run one or more frame exchanges without re-contending.
+// queue run one or more frame exchanges without re-contending. Records
+// are recycled through the shard's pool (transmit, releaseTxop).
 type Txop struct {
 	q *acQueue
 
@@ -28,6 +29,11 @@ type Txop struct {
 	// category's TXOP limit (0 = a single exchange).
 	StartUs float64
 	LimitUs float64
+
+	// ex is the exchange in progress. Chained exchanges run one at a
+	// time, so each rebuild reuses this record and its slices' backing
+	// arrays.
+	ex exchange
 }
 
 // exchange is one frame sequence inside a Txop, assembled by
@@ -40,8 +46,9 @@ type exchange struct {
 	// mpdus are the queued packets this exchange carries. One MPDU
 	// rides a plain data+ACK; with ampdu set the whole slice rides one
 	// A-MPDU under a single preamble, judged per MPDU and closed by a
-	// Block-ACK.
+	// Block-ACK whose verdict, one entry per MPDU, lands in acked.
 	mpdus []*packet
+	acked []bool
 	ampdu bool
 
 	// protect opens the exchange with RTS — SIFS — CTS.
@@ -56,15 +63,19 @@ type exchange struct {
 // long for the limit still goes out — fragmentation is not modelled —
 // which matters only for the opening exchange; chained ones are
 // fit-checked at launch). RTS/CTS protection triggers on the
-// exchange's total payload.
+// exchange's total payload. The exchange is t's own record, rebuilt in
+// place.
 func (nd *Node) buildExchange(t *Txop) *exchange {
 	q := t.q
-	head := q.queue[0]
+	queued := q.queue.items()
+	head := queued[0]
 	rx := head.dest(nd)
-	ex := &exchange{t: t, rx: rx, mode: nd.dataMode(rx), mpdus: []*packet{head}}
+	ex := &t.ex
+	ex.t, ex.rx, ex.mode = t, rx, nd.dataMode(rx)
+	ex.mpdus = append(ex.mpdus[:0], head)
 	if agg := nd.net.cfg.Aggregation; agg != nil {
 		bytes := head.bytes
-		for _, p := range q.queue[1:] {
+		for _, p := range queued[1:] {
 			if len(ex.mpdus) >= agg.MaxAmpduFrames || p.dest(nd) != rx ||
 				bytes+p.bytes > agg.MaxAmpduBytes {
 				break
@@ -138,8 +149,7 @@ func (nd *Node) launch(ex *exchange) {
 	nd.curPkt = pkt
 	nd.sh.attempts[pkt.ac]++
 	if ex.ampdu {
-		q := ex.t.q
-		q.queue = q.queue[len(ex.mpdus):]
+		ex.t.q.queue.pop(len(ex.mpdus))
 	}
 	if ex.protect {
 		nd.sendRts(ex)
@@ -155,7 +165,7 @@ func (nd *Node) launch(ex *exchange) {
 // inside the limit; otherwise the opportunity is released.
 func (nd *Node) nextExchange() {
 	t := nd.txop
-	if len(t.q.queue) > 0 {
+	if t.q.queue.len() > 0 {
 		ex := nd.buildExchange(t)
 		if nd.sh.eng.Now()+ex.airUs()-t.StartUs <= t.LimitUs+slotEps {
 			nd.launch(ex)
@@ -172,8 +182,7 @@ func (nd *Node) nextExchange() {
 func (nd *Node) endTxop() {
 	nd.transmitting = false
 	nd.curPkt = nil
-	nd.emitTxopClose()
-	nd.txop = nil
+	nd.releaseTxop()
 	nd.recontend()
 }
 
@@ -181,7 +190,7 @@ func (nd *Node) endTxop() {
 // has backlog to fill it.
 func (nd *Node) holdsTxop() bool {
 	t := nd.txop
-	return t != nil && t.LimitUs > 0 && len(t.q.queue) > 0
+	return t != nil && t.LimitUs > 0 && t.q.queue.len() > 0
 }
 
 // completeAmpdu judges a finished A-MPDU burst MPDU by MPDU: every MPDU
@@ -190,7 +199,9 @@ func (nd *Node) holdsTxop() bool {
 // and the resulting bitmap feeds the Block-ACK protocol.
 func (nd *Node) completeAmpdu(tr *transmission) {
 	sh := nd.sh
-	ok := make([]bool, len(tr.ex.mpdus))
+	ex := tr.ex
+	ok := append(ex.acked[:0], make([]bool, len(ex.mpdus))...)
+	ex.acked = ok
 	if !(tr.doomed || tr.rx.med != nd.med) {
 		per := tr.mode.PERAwgn(nd.med.sinrDB(tr))
 		for i := range ok {
@@ -204,7 +215,7 @@ func (nd *Node) completeAmpdu(tr *transmission) {
 		}
 		sh.probe.OnEvent(Event{TimeUs: sh.eng.Now(), Kind: EvRxOutcome,
 			Frame: FrameData, AC: tr.pkt.ac, Node: nd.id, Peer: tr.rx.id,
-			Bytes: tr.ex.totalBytes(), Mpdus: len(ok), Ok: any,
+			Bytes: ex.totalBytes(), Mpdus: len(ok), Ok: any,
 			SinrDB: nd.med.sinrDB(tr), Bitmap: ampduBitmap(ok), Mode: tr.mode.Name})
 	}
 	nd.applyBlockAck(tr, ok)
@@ -242,7 +253,9 @@ func (nd *Node) applyBlockAck(tr *transmission, ok []bool) {
 		c.OnVerdict(delivered, len(ok))
 	}
 	interfered := tr.interfered(net.noiseFloorMw)
-	var requeue []*packet
+	// Failed MPDUs are compacted in place to the front of ex.mpdus —
+	// the burst is not read again — and requeued from there.
+	requeue := ex.mpdus[:0]
 	for i, p := range ex.mpdus {
 		if ok[i] {
 			sh.delivered[ac]++
@@ -273,9 +286,7 @@ func (nd *Node) applyBlockAck(tr *transmission, ok []bool) {
 		}
 		requeue = append(requeue, p)
 	}
-	if len(requeue) > 0 {
-		q.queue = append(requeue, q.queue...)
-	}
+	q.queue.pushFront(requeue)
 	if sh.probe != nil {
 		sh.probe.OnEvent(Event{TimeUs: sh.eng.Now(), Kind: EvBlockAck,
 			AC: ac, Node: nd.id, Peer: tr.rx.id, Mpdus: len(ok),
@@ -290,7 +301,7 @@ func (nd *Node) applyBlockAck(tr *transmission, ok []bool) {
 		q.exchangeFailed(false)
 	}
 	if delivered > 0 && nd.holdsTxop() {
-		sh.eng.Schedule(net.cfg.Dcf.SIFSUs, nd.nextExchange)
+		sh.eng.ScheduleHandler(net.cfg.Dcf.SIFSUs, (*txopContinue)(nd))
 		return
 	}
 	nd.endTxop()

@@ -105,7 +105,7 @@ func TestTxopLimitTrimsOpeningBurst(t *testing.T) {
 	fl.ac = AC_BE
 	q := &st.acq[AC_BE]
 	for i := 0; i < 32; i++ {
-		q.queue = append(q.queue, &packet{flow: fl, bytes: 1500, ac: AC_BE})
+		q.queue.push(&packet{flow: fl, bytes: 1500, ac: AC_BE})
 	}
 	const limitUs = 1504.0
 	st.txop = &Txop{q: q, StartUs: 0, LimitUs: limitUs}
@@ -140,7 +140,7 @@ func TestBlockAckRetransmitsExactlyFailedSet(t *testing.T) {
 	pkts := make([]*packet, nPkts)
 	for i := range pkts {
 		pkts[i] = &packet{flow: fl, bytes: 300, arrivalUs: 0, ac: AC_BE}
-		st.acq[AC_BE].queue = append(st.acq[AC_BE].queue, pkts[i])
+		st.acq[AC_BE].queue.push(pkts[i])
 	}
 	q := &st.acq[AC_BE]
 	st.transmitting = true
@@ -149,7 +149,7 @@ func TestBlockAckRetransmitsExactlyFailedSet(t *testing.T) {
 	if len(ex.mpdus) != nPkts || !ex.ampdu {
 		t.Fatalf("builder gathered %d MPDUs (ampdu=%v), want %d", len(ex.mpdus), ex.ampdu, nPkts)
 	}
-	q.queue = q.queue[nPkts:] // what launch does for a burst
+	q.queue.pop(nPkts) // what launch does for a burst
 
 	// Feed the production Block-ACK path a hand-made bitmap: MPDUs 1
 	// and 3 failed, the rest were acknowledged.
@@ -161,11 +161,11 @@ func TestBlockAckRetransmitsExactlyFailedSet(t *testing.T) {
 	}
 	st.applyBlockAck(tr, mask)
 
-	if got := len(q.queue); got != 2 {
+	if got := q.queue.len(); got != 2 {
 		t.Fatalf("%d packets requeued, want exactly the 2 failed", got)
 	}
-	if q.queue[0] != pkts[1] || q.queue[1] != pkts[3] {
-		t.Errorf("requeued set/order wrong: got %v want [pkt1 pkt3]", q.queue)
+	if queued := q.queue.items(); queued[0] != pkts[1] || queued[1] != pkts[3] {
+		t.Errorf("requeued set/order wrong: got %v want [pkt1 pkt3]", queued)
 	}
 	for i, p := range pkts {
 		wantRetries := 0
@@ -206,7 +206,7 @@ func TestAmpduPartialLossConservation(t *testing.T) {
 	queued := 0
 	for _, nd := range n.nodes {
 		for ac := range nd.acq {
-			queued += len(nd.acq[ac].queue)
+			queued += nd.acq[ac].queue.len()
 		}
 	}
 	// Conservation: every arrival is delivered, dropped, still queued,
@@ -264,7 +264,7 @@ func TestAmpduRoamingHandoffConserves(t *testing.T) {
 	queued := 0
 	for _, nd := range n.nodes {
 		for ac := range nd.acq {
-			queued += len(nd.acq[ac].queue)
+			queued += nd.acq[ac].queue.len()
 		}
 	}
 	acct := fs.Delivered + fs.QueueDrops + fs.RetryDrops + queued
@@ -290,7 +290,7 @@ func TestAmpduBuilderRespectsCaps(t *testing.T) {
 	ap := b.AP
 	q := &ap.acq[AC_BE]
 	enq := func(f *Flow, bytes int) {
-		q.queue = append(q.queue, &packet{flow: f, bytes: bytes, ac: AC_BE})
+		q.queue.push(&packet{flow: f, bytes: bytes, ac: AC_BE})
 	}
 	// 600+600+600 fits under 2000; the fourth same-dest packet would
 	// overflow the byte cap, and the s2 packet breaks the receiver run.

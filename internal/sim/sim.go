@@ -2,7 +2,9 @@
 // clock and a priority queue of scheduled callbacks. The MAC power-save
 // and traffic models run on it, and netsim's hot loop schedules and
 // cancels events at frame rate, so the engine recycles event records
-// through a free list instead of allocating one per Schedule.
+// through a free list instead of allocating one per Schedule, and a
+// callback can be an object (Handler) so scheduling it allocates
+// nothing either.
 package sim
 
 import "container/heap"
@@ -17,7 +19,7 @@ import "container/heap"
 type event struct {
 	time float64
 	seq  int64
-	fn   func()
+	h    Handler
 	gen  uint64
 	// index is the event's position in the owning engine's heap, or -1
 	// once it has fired or been removed. Cancel uses it to take the
@@ -67,6 +69,20 @@ func (r EventRef) Cancel() {
 	eng.release(r.ev)
 }
 
+// Handler is a scheduled callback in object form: Fire runs when the
+// event does. A long-lived record that is its own handler (a pointer
+// whose type has a Fire method) is scheduled without allocating, where
+// a method value or a capturing closure would put a new func object on
+// the heap at every Schedule.
+type Handler interface{ Fire() }
+
+// funcHandler adapts the func Schedule and At take to Handler. A func
+// value is one pointer word, so storing it in the interface allocates
+// nothing beyond whatever the func literal itself captured.
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
+
 // Stats is a snapshot of the engine's lifetime introspection counters:
 // how much work the event loop has done and how well the record pool is
 // serving it. The counters are observational only — reading them never
@@ -115,20 +131,29 @@ func (e *Engine) Now() float64 { return e.now }
 // Schedule runs fn after delay (which must not be negative) and returns
 // a handle for cancellation.
 func (e *Engine) Schedule(delay float64, fn func()) EventRef {
-	if delay < 0 {
-		panic("sim: negative delay")
-	}
-	return e.At(e.now+delay, fn)
+	return e.ScheduleHandler(delay, funcHandler(fn))
 }
 
 // At runs fn at absolute time t >= Now.
-func (e *Engine) At(t float64, fn func()) EventRef {
+func (e *Engine) At(t float64, fn func()) EventRef { return e.AtHandler(t, funcHandler(fn)) }
+
+// ScheduleHandler fires h after delay (which must not be negative) and
+// returns a handle for cancellation.
+func (e *Engine) ScheduleHandler(delay float64, h Handler) EventRef {
+	if delay < 0 {
+		panic("sim: negative delay")
+	}
+	return e.AtHandler(e.now+delay, h)
+}
+
+// AtHandler fires h at absolute time t >= Now.
+func (e *Engine) AtHandler(t float64, h Handler) EventRef {
 	if t < e.now {
 		panic("sim: scheduling in the past")
 	}
 	e.seq++
 	ev := e.alloc()
-	ev.time, ev.seq, ev.fn = t, e.seq, fn
+	ev.time, ev.seq, ev.h = t, e.seq, h
 	heap.Push(&e.queue, ev)
 	e.stats.Scheduled++
 	if n := len(e.queue); n > e.stats.HeapHighWater {
@@ -152,10 +177,10 @@ func (e *Engine) alloc() *event {
 
 // release retires a popped or cancelled record to the free list. The
 // generation bump is what invalidates every outstanding EventRef to it;
-// the callback is dropped so the pool does not pin closures alive.
+// the handler is dropped so the pool does not pin closures alive.
 func (e *Engine) release(ev *event) {
 	ev.gen++
-	ev.fn = nil
+	ev.h = nil
 	e.free = append(e.free, ev)
 }
 
@@ -167,11 +192,11 @@ func (e *Engine) Step() bool {
 	ev := heap.Pop(&e.queue).(*event)
 	e.now = ev.time
 	e.stats.Fired++
-	fn := ev.fn
+	h := ev.h
 	// Release before running: refs to this event go stale now, and the
 	// callback's own scheduling may immediately reuse the record.
 	e.release(ev)
-	fn()
+	h.Fire()
 	return true
 }
 

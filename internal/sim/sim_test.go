@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -266,6 +267,46 @@ func TestPoolReusesRecords(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("schedule/fire churn allocates %v per op, want 0", allocs)
+	}
+}
+
+// counter is a Handler whose record is its own callback.
+type counter struct{ fired int }
+
+func (c *counter) Fire() { c.fired++ }
+
+func TestHandlerSchedulesWithoutAllocating(t *testing.T) {
+	var e Engine
+	c := &counter{}
+	e.ScheduleHandler(1, c)
+	e.Run(2) // warm the pool and the heap's backing array
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.ScheduleHandler(1, c)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("handler schedule/fire churn allocates %v per op, want 0", allocs)
+	}
+	if c.fired != 1002 { // warmup + AllocsPerRun's extra warm-up call + 1000
+		t.Errorf("handler fired %d times, want 1002", c.fired)
+	}
+}
+
+func TestHandlersAndFuncsShareOneOrder(t *testing.T) {
+	var e Engine
+	var got []string
+	c := &counter{}
+	e.Schedule(2, func() { got = append(got, "func@2") })
+	e.ScheduleHandler(1, funcHandler(func() { got = append(got, "funcHandler@1") }))
+	e.AtHandler(2, funcHandler(func() { got = append(got, "handler@2") }))
+	e.AtHandler(3, c).Cancel()
+	e.Run(10)
+	want := []string{"funcHandler@1", "func@2", "handler@2"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("fired %v, want %v (time order, then scheduling order)", got, want)
+	}
+	if c.fired != 0 {
+		t.Error("cancelled handler fired")
 	}
 }
 
