@@ -6,7 +6,6 @@
 package repro_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/experiments"
@@ -92,7 +91,7 @@ func BenchmarkE30HtLadder(b *testing.B) { benchExperiment(b, "E30") }
 // uses the spatial grid + tracked-neighborhood carrier-sense path;
 // brute is the all-nodes membership scan kept behind
 // netsim.Config.DisableSpatialIndex as the bit-for-bit oracle. Setup
-// (the per-medium gain tables, via Prepare) is excluded from the timing so
+// (the scenario build and Prepare) is excluded from the timing so
 // ns/op measures the event-loop hot path the index rebuilt; the
 // indexed/brute ratio is the speedup — ≥3x at this size.
 //
@@ -101,15 +100,21 @@ func BenchmarkE30HtLadder(b *testing.B) { benchExperiment(b, "E30") }
 // indexed against the committed baseline is its cost when OFF (the
 // ≤2% acceptance bar — with no probe attached the hot sites reduce to
 // one nil-check and never construct an Event).
+//
+// The e2e variant is the indexed path timed end to end: build,
+// Prepare (gain rows, spatial index, plan) and Run. Besides ns/op it
+// reports ns/event, wall time over events fired.
 func BenchmarkE27LargeFloor(b *testing.B) {
 	for _, mode := range []struct {
 		name    string
 		disable bool
 		traced  bool
+		e2e     bool
 	}{
-		{"indexed", false, false},
-		{"brute", true, false},
-		{"traced", false, true},
+		{"indexed", false, false, false},
+		{"brute", true, false, false},
+		{"traced", false, true, false},
+		{"e2e", false, false, true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			cfg := netsim.DefaultConfig()
@@ -117,10 +122,13 @@ func BenchmarkE27LargeFloor(b *testing.B) {
 			cfg.DisableSpatialIndex = mode.disable
 			build := netsim.LargeFloor(cfg, 100, 40, 10, 1)
 			tracer := trace.New()
+			var events uint64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
+				if !mode.e2e {
+					b.StopTimer()
+				}
 				n := build(int64(i + 1))
 				if mode.traced {
 					tracer.Reset()
@@ -135,8 +143,20 @@ func BenchmarkE27LargeFloor(b *testing.B) {
 				if mode.traced && tracer.Total() == 0 {
 					b.Fatal("tracer saw no events")
 				}
+				events += r.EngineStats.Fired
+			}
+			if mode.e2e {
+				reportNsPerEvent(b, events)
 			}
 		})
+	}
+}
+
+// reportNsPerEvent adds the timed wall clock per fired event to an
+// end-to-end benchmark's output.
+func reportNsPerEvent(b *testing.B, events uint64) {
+	if events > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 	}
 }
 
@@ -148,8 +168,8 @@ func BenchmarkE27LargeFloor(b *testing.B) {
 // the scaled-interference SINR path hot. The CI gate holds its ns/op
 // and allocs/op: the window test is a few compares inside the existing
 // scan and ignore accounting is counter bumps, so coloring must not
-// add per-frame allocations. Setup (gain tables via Prepare) is
-// excluded as in E27/E28.
+// add per-frame allocations. Setup (build and Prepare) is excluded as
+// in E27/E28.
 func BenchmarkE31SpatialReuse(b *testing.B) {
 	cfg := netsim.DefaultConfig()
 	cfg.ObssPdThresholdDBm = -62
@@ -178,24 +198,41 @@ func BenchmarkE31SpatialReuse(b *testing.B) {
 // runs the identical topology at a different Config.Shards; shards=1
 // is the single-engine baseline the 2% CI gate holds (sharding must
 // cost nothing when off), and shards=2/4/8 trace the speedup curve.
-// Setup (the per-medium gain tables, via Prepare) is excluded so ns/op
-// measures the event loops plus the worker-pool fan-out.
+// Setup (the scenario build and Prepare) is excluded so ns/op measures
+// the event loops plus the worker-pool fan-out.
 //
 // The curve only bends on multi-core machines: shard workers default
 // to GOMAXPROCS, so on a single-core runner every variant measures the
 // same serial work (~flat), while with GOMAXPROCS >=
 // 4 the shards=4 variant shows the parallel speedup.
+//
+// The e2e variant times the Shards: 2 floor end to end — build,
+// Prepare (gain rows, spatial index, plan) and Run — and reports
+// ns/event beside ns/op.
 func BenchmarkE28ShardedFloor(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+	for _, v := range []struct {
+		name   string
+		shards int
+		e2e    bool
+	}{
+		{"shards=1", 1, false},
+		{"shards=2", 2, false},
+		{"shards=4", 4, false},
+		{"shards=8", 8, false},
+		{"e2e", 2, true},
+	} {
+		b.Run(v.name, func(b *testing.B) {
 			cfg := netsim.DefaultConfig()
 			cfg.CSThresholdDBm = -62 // OBSS-PD-style spatial reuse, as in E27
-			cfg.Shards = shards
+			cfg.Shards = v.shards
 			build := netsim.LargeFloor(cfg, 1024, 3, 32, 1, 6, 11, 36, 40, 44, 48, 52)
+			var events uint64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
+				if !v.e2e {
+					b.StopTimer()
+				}
 				n := build(int64(i + 1))
 				n.Prepare()
 				b.StartTimer()
@@ -203,9 +240,13 @@ func BenchmarkE28ShardedFloor(b *testing.B) {
 				if r.Delivered == 0 {
 					b.Fatal("floor delivered nothing")
 				}
-				if r.Shards != shards {
-					b.Fatalf("planned %d shards, want %d (%+v)", r.Shards, shards, r.Plan)
+				if r.Shards != v.shards {
+					b.Fatalf("planned %d shards, want %d (%+v)", r.Shards, v.shards, r.Plan)
 				}
+				events += r.EngineStats.Fired
+			}
+			if v.e2e {
+				reportNsPerEvent(b, events)
 			}
 		})
 	}
@@ -219,8 +260,8 @@ func BenchmarkE28ShardedFloor(b *testing.B) {
 // feedback path — MAC completion → PacketFate → cwnd update → re-pump →
 // enqueue — on top of the DCF hot loop, which is the overhead the CI
 // gate holds: the closed loop must stay event-driven (no polling), so
-// its cost tracks delivered packets, not virtual time. Setup (gain
-// tables via Prepare) is excluded as in E27/E28.
+// its cost tracks delivered packets, not virtual time. Setup (build
+// and Prepare) is excluded as in E27/E28.
 func BenchmarkE29ClosedLoop(b *testing.B) {
 	build := app.ApartmentBlock(netsim.DefaultConfig(), 9, 8)
 	b.ReportAllocs()

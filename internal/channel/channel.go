@@ -2,8 +2,8 @@
 // story: additive white Gaussian noise, flat Rayleigh/Ricean block fading,
 // exponential-power-delay-profile multipath (the "fading multipath
 // environment" in which MIMO extends range), i.i.d. MIMO matrix channels,
-// the TGn-style breakpoint path-loss law, log-normal shadowing, and a
-// narrowband jammer for the processing-gain experiment.
+// the TGn-style breakpoint path-loss law, and a narrowband jammer for the
+// processing-gain experiment.
 package channel
 
 import (

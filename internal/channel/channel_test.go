@@ -290,26 +290,6 @@ func TestPathLossClampsBelow1m(t *testing.T) {
 	}
 }
 
-func TestShadowingSpread(t *testing.T) {
-	m := Model24GHz()
-	m.ShadowDB = 4
-	src := rng.New(10)
-	var r [2000]float64
-	for i := range r {
-		r[i] = m.LossDBShadowed(50, src) - m.LossDB(50)
-	}
-	var mean, sq float64
-	for _, v := range r {
-		mean += v
-		sq += v * v
-	}
-	mean /= float64(len(r))
-	sd := math.Sqrt(sq/float64(len(r)) - mean*mean)
-	if math.Abs(sd-4) > 0.4 {
-		t.Errorf("shadowing sigma = %v, want 4", sd)
-	}
-}
-
 func TestNoiseFloor(t *testing.T) {
 	b := DefaultLinkBudget(20e6)
 	// -174 + 73 + 7 = -94 dBm

@@ -1,10 +1,6 @@
 package channel
 
-import (
-	"math"
-
-	"repro/internal/rng"
-)
+import "math"
 
 // PathLossModel is the TGn-style indoor breakpoint model: free-space decay
 // (exponent 2) out to the breakpoint distance, exponent 3.5 beyond it.
@@ -14,7 +10,7 @@ type PathLossModel struct {
 	FreqHz      float64 // carrier frequency
 	BreakpointM float64 // breakpoint distance in metres (TGn model D: 10 m; B: 5 m)
 	ExponentFar float64 // path-loss exponent beyond the breakpoint
-	ShadowDB    float64 // log-normal shadowing standard deviation, 0 to disable
+	ShadowDB    float64 // log-normal shadowing sigma; nothing draws it, and netsim rejects a positive value
 }
 
 // Model24GHz returns the model for the 2.4 GHz ISM band (802.11/b/g/n)
@@ -44,11 +40,6 @@ func (m PathLossModel) LossDB(d float64) float64 {
 		return m.freeSpaceDB(d)
 	}
 	return m.freeSpaceDB(m.BreakpointM) + 10*m.ExponentFar*math.Log10(d/m.BreakpointM)
-}
-
-// LossDBShadowed returns the path loss with one log-normal shadowing draw.
-func (m PathLossModel) LossDBShadowed(d float64, src *rng.Source) float64 {
-	return m.LossDB(d) + src.Gaussian(0, m.ShadowDB)
 }
 
 // LinkBudget describes a transmitter-receiver pair.

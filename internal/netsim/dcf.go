@@ -55,9 +55,23 @@ const slotEps = 1e-6
 // array has grown to the queue's working depth no operation allocates,
 // where re-slicing a plain []*packet would lose its front capacity on
 // every pop and reallocate on a later append.
+//
+// at is the node holding the queue. Every operation that adds or
+// removes a packet keeps Flow.queued — the count of a flow's packets
+// queued at its injection node — in step through track.
 type pktQueue struct {
 	buf  []*packet
 	head int
+	at   *Node
+}
+
+// track adds d to p's flow's queued count when this queue sits at the
+// flow's injection node. A packet is always filed under its flow's
+// category, so the node decides which queue counts.
+func (q *pktQueue) track(p *packet, d int) {
+	if f := p.flow; f.src == q.at {
+		f.queued += d
+	}
 }
 
 func (q *pktQueue) len() int { return len(q.buf) - q.head }
@@ -69,6 +83,9 @@ func (q *pktQueue) front() *packet { return q.buf[q.head] }
 
 // pop removes the first k packets.
 func (q *pktQueue) pop(k int) {
+	for _, p := range q.buf[q.head : q.head+k] {
+		q.track(p, -1)
+	}
 	clear(q.buf[q.head : q.head+k])
 	q.head += k
 	if q.head == len(q.buf) {
@@ -83,6 +100,7 @@ func (q *pktQueue) push(p *packet) {
 		q.buf, q.head = q.buf[:n], 0
 	}
 	q.buf = append(q.buf, p)
+	q.track(p, 1)
 }
 
 // pushFront puts ps back at the head of the queue, in their order. ps
@@ -105,6 +123,9 @@ func (q *pktQueue) pushFront(ps []*packet) {
 	}
 	q.head -= k
 	copy(q.buf[q.head:], ps)
+	for _, p := range ps {
+		q.track(p, 1)
+	}
 }
 
 // removeIf takes every packet drop reports true for (given its
@@ -115,6 +136,7 @@ func (q *pktQueue) removeIf(drop func(i int, p *packet) bool) (removed []*packet
 	kept := win[:0]
 	for i, p := range win {
 		if drop(i, p) {
+			q.track(p, -1)
 			removed = append(removed, p)
 		} else {
 			kept = append(kept, p)

@@ -23,8 +23,8 @@ import (
 const equivSeeds = 5
 
 // equivScenarios covers every scenario preset plus the stressors the
-// index must survive: per-pair shadowing (query radii must widen to the
-// luckiest draw), RTS/CTS (NAV adoption queries at decode range),
+// index must survive: a single-channel grid above the brute-scan
+// cutoff, RTS/CTS (NAV adoption queries at decode range),
 // roaming with downlink handoff (incremental grid updates and medium
 // migration), and the 3-channel LargeFloor with an OBSS-PD-style CS
 // threshold (many small neighborhoods — the case the index exists for).
@@ -46,10 +46,9 @@ func equivScenarios() []struct {
 		}},
 		// 8 BSS x 8 saturated stations on ONE channel = 72 nodes on one
 		// medium — above medium.bruteScanCutoff, so the indexed run
-		// really takes the grid path, with shadowing widening the query
-		// radii.
-		{"dense-grid-shadowed", 1e5, func(cfg Config) func(int64) *Network {
-			cfg.PathLoss.ShadowDB = 5
+		// really takes the grid path. The 30 m pitch puts neighboring
+		// cells inside carrier-sense range and far corners outside it.
+		{"dense-grid-8x8", 1e5, func(cfg Config) func(int64) *Network {
 			return DenseGrid(cfg, 8, 8, []int{1}, 30, 900)
 		}},
 		{"traffic-mix", 2e5, func(cfg Config) func(int64) *Network {

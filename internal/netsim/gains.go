@@ -8,79 +8,158 @@ import (
 
 // Radio state: the received-power figures the MAC reads.
 //
-// A frame only ever reaches the nodes of its own medium, so the
-// simulator keeps one gainTable per medium instead of one N×N matrix for
-// the whole floor: the state is Σ|medium|², not N². Under roaming
-// (Config.RoamIntervalUs > 0) a station may switch media mid-run, so
-// build makes a single table over every node and points every medium at
-// it — the same code with different membership.
+// A gain is a pure function of two positions — the link budget minus
+// the path loss over their distance — so the state kept here is only a
+// cache of it, shaped by who reads it. A frame only ever reaches the
+// nodes of its own medium, so there is one gainTable per medium. Under
+// roaming (Config.RoamIntervalUs > 0) a station may switch media
+// mid-run, so build makes a single table over every node and points
+// every medium at it — the same code with different membership. Within
+// a table:
+//
+//   - Hot members — every AP and the From node of every saturated flow —
+//     get a dense dbm/mw row over the table, filled at Prepare. One of
+//     them is an endpoint of nearly every frame, so the interference
+//     crossing in medium.start/finish and the carrier-sense scans read
+//     array slots.
+//   - Every other pair lives in the table's cold cache, which starts
+//     empty and computes a pair on its first read.
+//
+// Nothing is sized N²: the rows cost hot × |table| cells and the cache
+// holds the cold pairs actually read.
 
 // gainTable holds the received powers among one set of nodes. Members
 // are numbered locally (Node.gi) in ascending node-id order, so a table
 // over every node is indexed by node id.
 //
-// dbm[i*size+j] is the power at member j when member i transmits; mw is
-// the same figure in milliwatts, cached because the interference
-// crossing in medium.start/finish sums powers linearly for every
-// concurrent pair and the dB→mW exponential was a top hot-loop cost
-// when recomputed per frame for gains that only change on a move. Both
-// are exactly symmetric: every fill writes [i][j] and [j][i] from one
-// computed figure, which lets medium.start read the row of whichever
-// endpoint its loop holds fixed. shadow is each member pair's symmetric
-// shadowing draw as a packed upper triangle (triIndex), kept so
-// refreshGains can recompute a moved node's row; nil when shadowing is
-// off.
+// hot lists the members with a dense row, in row order; a member's
+// Node.row is the offset of its row in dbm and mw (row index × size),
+// or -1. dbm[h.row+j] is the power at member j when hot member h
+// transmits; mw is the same figure in milliwatts, kept because the
+// interference crossing sums powers linearly for every concurrent pair
+// and the dB→mW exponential is a top hot-loop cost when recomputed per
+// frame. A row's own diagonal slot stays 0.
 type gainTable struct {
-	nodes  []*Node
-	size   int
-	dbm    []float64
-	mw     []float64
-	shadow []float64
+	nodes []*Node
+	size  int
+	hot   []*Node
+	dbm   []float64
+	mw    []float64
+	cold  gainCache
 }
 
-// triIndex is the position of pair (i, j), i < j, in a packed upper
-// triangle over size members laid out row by row: (0,1), (0,2), …,
-// (1,2), ….
-func triIndex(size, i, j int) int { return i*(2*size-i-1)/2 + j - i - 1 }
-
-// shadowDB is the shadowing draw of member pair (i, j), i < j.
-func (t *gainTable) shadowDB(i, j int) float64 {
-	if t.shadow == nil {
-		return 0
-	}
-	return t.shadow[triIndex(t.size, i, j)]
+// gainCache holds a table's pairs that no hot row covers: open
+// addressing with linear probing over a power-of-two slot array. The
+// key packs the member pair as lo<<32 | hi with lo < hi, so it is never
+// 0, which marks an empty slot; the hash is multiplicative. The cache
+// starts empty and doubles at half load, so it allocates O(log entries)
+// slot arrays per table over a run.
+//
+// Reads fill the cache, and that needs no locking: a table belongs to
+// one medium and a medium to one shard (planShards), so only that
+// shard's goroutine ever reads it. The one table a roaming network
+// shares across its media is no exception, because mobility forces a
+// single shard.
+type gainCache struct {
+	slots []gainSlot
+	used  int
+	shift uint
 }
 
-// drawShadows draws every node pair's shadowing value in the order the
-// simulator has always drawn them (i ascending, then j > i), into a
-// packed triangle over all nodes, and records the most favorable (most
-// negative) draw in n.minShadowDB. The triangle lives only until
-// buildTables has copied each table's pairs out of it. It is nil, and
-// no randomness is consumed, when shadowing is off.
-func (n *Network) drawShadows() []float64 {
-	n.minShadowDB = 0
-	sd := n.cfg.PathLoss.ShadowDB
-	if sd <= 0 {
-		return nil
-	}
-	nn := len(n.nodes)
-	tri := make([]float64, nn*(nn-1)/2)
-	for k := range tri {
-		sh := n.src.Gaussian(0, sd)
-		tri[k] = sh
-		if sh < n.minShadowDB {
-			n.minShadowDB = sh
+type gainSlot struct {
+	key     uint64
+	dbm, mw float64
+}
+
+// gainHashMul is 2^64 divided by the golden ratio (Fibonacci hashing).
+const gainHashMul = 0x9E3779B97F4A7C15
+
+// minColdSlots is the slot count of a cache's first array.
+const minColdSlots = 16
+
+// slot returns the slot holding key, or the empty slot where key
+// belongs. The cache must not be empty.
+func (c *gainCache) slot(key uint64) *gainSlot {
+	mask := len(c.slots) - 1
+	for k := int((key * gainHashMul) >> c.shift); ; k = (k + 1) & mask {
+		if s := &c.slots[k]; s.key == key || s.key == 0 {
+			return s
 		}
 	}
-	return tri
 }
 
-// buildTables gives every medium its gain table and fills it: one table
-// per medium, or one over every node when roaming can move stations
-// between media. all is drawShadows' triangle over every node.
-func (n *Network) buildTables(all []float64) {
+// grow doubles the slot array (or makes the first one) and reinserts
+// every entry.
+func (c *gainCache) grow() {
+	old := c.slots
+	size := max(2*len(old), minColdSlots)
+	c.slots = make([]gainSlot, size)
+	c.shift = 64
+	for s := size; s > 1; s >>= 1 {
+		c.shift--
+	}
+	for _, s := range old {
+		if s.key != 0 {
+			*c.slot(s.key) = s
+		}
+	}
+}
+
+// reset drops every entry and keeps the slot array.
+func (c *gainCache) reset() {
+	clear(c.slots)
+	c.used = 0
+}
+
+// coldGain returns the slot holding the gain between distinct nodes a
+// and b in their table's cache, computing and storing it on a miss. The
+// pointer is valid until the next miss.
+func coldGain(a, b *Node) *gainSlot {
+	t := a.gt
+	lo, hi := min(a.gi, b.gi), max(a.gi, b.gi)
+	key := uint64(lo)<<32 | uint64(hi)
+	c := &t.cold
+	var s *gainSlot
+	if len(c.slots) > 0 {
+		if s = c.slot(key); s.key == key {
+			return s
+		}
+	}
+	if 2*(c.used+1) > len(c.slots) {
+		c.grow()
+		s = c.slot(key)
+	}
+	p := a.net.pairGainDBm(t, lo, hi)
+	*s = gainSlot{key: key, dbm: p, mw: mwFromDBm(p)}
+	c.used++
+	return s
+}
+
+// pairGainDBm computes the received power between members lo < hi of
+// t from their distance — the one place a gain is evaluated. Every read
+// path asks in ascending member order, which keeps the figures exactly
+// symmetric.
+func (n *Network) pairGainDBm(t *gainTable, lo, hi int) float64 {
+	b := n.cfg.Budget
+	loss := n.cfg.PathLoss.LossDB(dist(t.nodes[lo], t.nodes[hi]))
+	return b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - loss
+}
+
+// buildTables gives every medium its gain table and fills the hot rows:
+// one table per medium, or one over every node when roaming can move
+// stations between media.
+func (n *Network) buildTables() {
+	hot := make([]bool, len(n.nodes))
+	for _, b := range n.bss {
+		hot[b.AP.id] = true
+	}
+	for _, f := range n.flows {
+		if f.Gen.isSaturated() {
+			hot[f.From.id] = true
+		}
+	}
 	if n.cfg.RoamIntervalUs > 0 {
-		t := n.newGainTable(n.nodes, all)
+		t := newGainTable(n.nodes, hot)
 		for _, m := range n.media {
 			m.gt = t
 		}
@@ -90,73 +169,50 @@ func (n *Network) buildTables(all []float64) {
 		for i, m := range n.media {
 			members := slices.Clone(m.nodes)
 			slices.SortFunc(members, func(a, b *Node) int { return a.id - b.id })
-			m.gt = n.newGainTable(members, all)
+			m.gt = newGainTable(members, hot)
 			n.tables[i] = m.gt
 		}
 	}
 	n.fillGains()
 }
 
-// newGainTable allocates the table over members (ascending node id),
-// binds each member to it, and copies the members' pairs out of all. A
-// table over every node shares all instead of copying it.
-func (n *Network) newGainTable(members []*Node, all []float64) *gainTable {
+// newGainTable makes the table over members (ascending node id), binds
+// each member to it, and allocates a row for each member hot marks.
+func newGainTable(members []*Node, hot []bool) *gainTable {
 	size := len(members)
-	t := &gainTable{nodes: members, size: size,
-		dbm: make([]float64, size*size), mw: make([]float64, size*size)}
-	for i, nd := range members {
-		nd.gt, nd.gi = t, i
+	rows := 0
+	for _, nd := range members {
+		if hot[nd.id] {
+			rows++
+		}
 	}
-	switch {
-	case all == nil:
-	case size == len(n.nodes):
-		t.shadow = all
-	default:
-		t.shadow = make([]float64, size*(size-1)/2)
-		k := 0
-		for i, a := range members {
-			for _, b := range members[i+1:] {
-				t.shadow[k] = all[triIndex(len(n.nodes), a.id, b.id)]
-				k++
-			}
+	t := &gainTable{nodes: members, size: size, hot: make([]*Node, 0, rows),
+		dbm: make([]float64, rows*size), mw: make([]float64, rows*size)}
+	for i, nd := range members {
+		nd.gt, nd.gi, nd.row = t, i, -1
+		if hot[nd.id] {
+			nd.row = len(t.hot) * size
+			t.hot = append(t.hot, nd)
 		}
 	}
 	return t
 }
 
-// fillGains computes every table's received powers: each unordered pair
-// exactly once (the per-node refreshGains would do every pair twice),
-// with the rows of all tables striped across cores — the transcendental
-// bill (path-loss log, dB→mW exponential) per pair dominates setup on
-// 1000+ node floors, and the per-pair math is pure, so the fan-out is
-// bit-for-bit deterministic. The shadowing draws are already fixed at
-// this point, so no randomness crosses a goroutine boundary.
+// fillGains computes every hot row of every table, striped across
+// cores: the transcendental bill (path-loss log, dB→mW exponential) per
+// cell dominates setup on 1000+ node floors, and the per-pair math is
+// pure, so the fan-out is bit-for-bit deterministic.
 func (n *Network) fillGains() {
-	type row struct {
-		t *gainTable
-		i int
-	}
-	rows := make([]row, 0, len(n.nodes))
-	pairs := 0
+	var rows []*Node
+	cells := 0
 	for _, t := range n.tables {
-		for i := range t.nodes {
-			rows = append(rows, row{t, i})
-		}
-		pairs += t.size * (t.size - 1) / 2
+		rows = append(rows, t.hot...)
+		cells += len(t.hot) * t.size
 	}
-	fillRow := func(r row) {
-		t, i := r.t, r.i
-		for j := i + 1; j < t.size; j++ {
-			n.setGain(t, i, j)
-		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	if pairs < 256*255/2 || workers < 2 {
-		for _, r := range rows {
-			fillRow(r)
+	workers := min(runtime.GOMAXPROCS(0), 8)
+	if cells < 256*255/2 || workers < 2 {
+		for _, nd := range rows {
+			n.fillRow(nd)
 		}
 		return
 	}
@@ -166,49 +222,93 @@ func (n *Network) fillGains() {
 		go func(w int) {
 			defer wg.Done()
 			for k := w; k < len(rows); k += workers {
-				fillRow(rows[k])
+				n.fillRow(rows[k])
 			}
 		}(w)
 	}
 	wg.Wait()
 }
 
-// refreshGains recomputes the moved node's row and column of its table.
-func (n *Network) refreshGains(nd *Node) {
-	for _, sh := range n.shards {
-		clear(sh.modeCache)
-	}
+// fillRow computes hot member nd's row over its table.
+func (n *Network) fillRow(nd *Node) {
 	t, i := nd.gt, nd.gi
+	dbm, mw := t.dbm[nd.row:nd.row+t.size], t.mw[nd.row:nd.row+t.size]
 	for j := range t.nodes {
 		if j != i {
-			n.setGain(t, min(i, j), max(i, j))
+			p := n.pairGainDBm(t, min(i, j), max(i, j))
+			dbm[j], mw[j] = p, mwFromDBm(p)
 		}
 	}
 }
 
-// setGain computes the received power between members i < j of t from
-// their distance and shadowing, and stores it at both [i][j] and
-// [j][i] — the one place gains are written, which keeps every table
-// exactly symmetric.
-func (n *Network) setGain(t *gainTable, i, j int) {
-	b := n.cfg.Budget
-	loss := n.cfg.PathLoss.LossDB(dist(t.nodes[i], t.nodes[j])) + t.shadowDB(i, j)
-	p := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - loss
-	t.dbm[i*t.size+j], t.dbm[j*t.size+i] = p, p
-	mw := mwFromDBm(p)
-	t.mw[i*t.size+j], t.mw[j*t.size+i] = mw, mw
+// refreshGains brings the radio state up to date after nodes moved:
+// each moved node's own row and its slot in every hot row are
+// recomputed, and the cold caches and the shards' rate choices (both
+// derived from gains) are dropped — once per call, however many nodes
+// moved, which is why roamScan passes a whole tick's moves at once.
+func (n *Network) refreshGains(moved ...*Node) {
+	if len(moved) == 0 {
+		return
+	}
+	for _, sh := range n.shards {
+		clear(sh.modeCache)
+	}
+	for _, nd := range moved {
+		t, i := nd.gt, nd.gi
+		if nd.row >= 0 {
+			n.fillRow(nd)
+		}
+		for _, h := range t.hot {
+			if h != nd {
+				p := n.pairGainDBm(t, min(i, h.gi), max(i, h.gi))
+				t.dbm[h.row+i], t.mw[h.row+i] = p, mwFromDBm(p)
+			}
+		}
+	}
+	for _, t := range n.tables {
+		t.cold.reset()
+	}
 }
 
-// rxPowerDBm returns the received power at node rx when tx transmits.
-// Both must share a gain table, which holds for any two nodes on one
-// medium.
+// rxPowerDBm returns the received power at node rx when tx transmits:
+// from tx's row, else from rx's row (gains are exactly symmetric), else
+// from the cold cache. Both must share a gain table, which holds for
+// any two nodes on one medium. The transmitter's row is the common case
+// and stays inlinable; the rest is in rxRowDBm.
 func (n *Network) rxPowerDBm(tx, rx *Node) float64 {
-	return tx.gt.dbm[tx.gi*tx.gt.size+rx.gi]
+	if tx.row >= 0 {
+		return tx.gt.dbm[tx.row+rx.gi]
+	}
+	return rxRowDBm(tx, rx)
 }
 
-// rxPowerMw is the same figure in milliwatts, cached at gain-refresh
-// time so the per-frame interference crossing never pays the dB→linear
-// exponential.
+// rxRowDBm is rxPowerDBm for a transmitter without a row. Kept out of
+// line so the row read above stays within the inlining budget.
+//
+//go:noinline
+func rxRowDBm(tx, rx *Node) float64 {
+	if rx.row >= 0 {
+		return rx.gt.dbm[rx.row+tx.gi]
+	}
+	return coldGain(tx, rx).dbm
+}
+
+// rxPowerMw is the same figure in milliwatts, stored beside the dBm
+// figure so the per-frame interference crossing never pays the
+// dB→linear exponential.
 func (n *Network) rxPowerMw(tx, rx *Node) float64 {
-	return tx.gt.mw[tx.gi*tx.gt.size+rx.gi]
+	if tx.row >= 0 {
+		return tx.gt.mw[tx.row+rx.gi]
+	}
+	return rxRowMw(tx, rx)
+}
+
+// rxRowMw is rxPowerMw for a transmitter without a row.
+//
+//go:noinline
+func rxRowMw(tx, rx *Node) float64 {
+	if rx.row >= 0 {
+		return rx.gt.mw[rx.row+tx.gi]
+	}
+	return coldGain(tx, rx).mw
 }

@@ -404,8 +404,9 @@ func (m *medium) start(tr *transmission) {
 		}
 		if a.tx != tr.rx {
 			if f := overlapFrac(a, tr, m.bonded); f > 0 {
-				// a.tx → tr.rx, read from tr.rx's row of the symmetric
-				// table so the loop stays in one row.
+				// a.tx → tr.rx, asked as tr.rx → a.tx (gains are
+				// symmetric) so a receiver with a row serves the whole
+				// loop from it.
 				mw := m.net.rxPowerMw(tr.rx, a.tx) * f * a.scaleMw
 				tr.addInterference(mw)
 				if snap {

@@ -13,7 +13,6 @@ import "testing"
 // two links must converge independently.
 func TestMinstrelStatePerDestination(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.PathLoss.ShadowDB = 0
 	cfg.RateControl = "minstrel"
 	n := New(cfg, 11)
 	b := n.AddAP("AP", 0, 0, 1)

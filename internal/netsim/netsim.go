@@ -293,6 +293,13 @@ func (c Config) Validate() {
 	if c.Channels < 0 {
 		panic(fmt.Sprintf("netsim: Config.Channels must not be negative, got %d", c.Channels))
 	}
+	if !(c.PathLoss.ShadowDB <= 0) {
+		// Gains are a pure function of two positions (gains.go): the
+		// simulator models no per-pair shadowing, so a sigma would be
+		// silently ignored.
+		panic(fmt.Sprintf("netsim: Config.PathLoss.ShadowDB must not be positive (per-pair shadowing is not modeled), got %v",
+			c.PathLoss.ShadowDB))
+	}
 	if t := c.ObssPdThresholdDBm; t != 0 {
 		if math.IsNaN(t) || math.IsInf(t, 0) || t > 0 {
 			panic(fmt.Sprintf("netsim: Config.ObssPdThresholdDBm must be a negative finite dBm figure (0 disables), got %v", t))
@@ -381,9 +388,12 @@ type Node struct {
 
 	// gt is the gain table holding this node's received powers and gi
 	// its index there (gains.go): its medium's table, or the one
-	// all-node table under roaming.
-	gt *gainTable
-	gi int
+	// all-node table under roaming. row is the offset of the node's
+	// dense row in gt's dbm/mw arrays when it is hot (an AP or a
+	// saturated sender), -1 when its cold pairs come from gt's cache.
+	gt  *gainTable
+	gi  int
+	row int
 
 	// ord is the node's membership number on its current medium (set by
 	// medium.addNode); cell is the spatial-grid cell it is filed under.
@@ -500,14 +510,10 @@ type Network struct {
 	edca   EdcaParams
 	edcaOn bool
 
-	// tables are the received-power tables build fills (gains.go): one
+	// tables are the received-power tables build makes (gains.go): one
 	// per medium, or a single one over every node under roaming. A node
-	// reads only its own table (Node.gt). minShadowDB is the most
-	// favorable (most negative) shadowing draw among all node pairs —
-	// the widening both the spatial-index radii and the shard-planning
-	// radius apply to stay conservative per pair.
-	tables      []*gainTable
-	minShadowDB float64
+	// reads only its own table (Node.gt).
+	tables []*gainTable
 
 	noiseFloorDBm float64
 	noiseFloorMw  float64
@@ -577,9 +583,9 @@ type Network struct {
 	qoeSources []func() UserQoE
 }
 
-// New returns an empty network. All randomness (shadowing, backoff,
-// traffic, PER draws) comes from a single rng.Source seeded here, so a
-// fixed seed reproduces the run exactly.
+// New returns an empty network. All randomness (backoff, traffic, PER
+// draws) comes from a single rng.Source seeded here, so a fixed seed
+// reproduces the run exactly.
 func New(cfg Config, seed int64) *Network {
 	if cfg.QueueLimit <= 0 {
 		cfg.QueueLimit = 64
@@ -679,7 +685,8 @@ func (n *Network) addNode(name string, x, y float64, ap bool) *Node {
 	}
 	nd := &Node{net: n, id: len(n.nodes), Name: name, X: x, Y: y, ap: ap}
 	for ac := range nd.acq {
-		nd.acq[ac] = acQueue{node: nd, ac: AC(ac), cw: n.edca[ac].CWMin}
+		nd.acq[ac] = acQueue{node: nd, ac: AC(ac), cw: n.edca[ac].CWMin,
+			queue: pktQueue{at: nd}}
 	}
 	n.nodes = append(n.nodes, nd)
 	return nd
@@ -757,15 +764,13 @@ func dist(a, b *Node) float64 {
 	return math.Hypot(a.X-b.X, a.Y-b.Y)
 }
 
-// build freezes the radio state: it draws the pairwise shadowing,
-// derives the index and planning radii from it, partitions the floor
-// into shards, groups nodes into per-channel media, and fills each
-// medium's gain table.
+// build freezes the radio state: it derives the index and planning
+// radii from the propagation model, partitions the floor into shards,
+// groups nodes into per-channel media, and gives each medium its gain
+// table with the hot rows filled (the cold pairs fill on first read).
 func (n *Network) build() {
-	shadow := n.drawShadows()
-	// Index query radii depend on the shadowing draws: media size their
-	// grids from csRangeM, and the shard planner's interaction radius
-	// builds on both.
+	// Media size their grids from csRangeM, and the shard planner's
+	// interaction radius builds on both radii.
 	n.csRangeM, n.navRangeM = n.indexRanges()
 	if n.bonded {
 		n.chanRoot = bondedComponents(n.bss)
@@ -788,7 +793,7 @@ func (n *Network) build() {
 			m.addNode(nd)
 		}
 	}
-	n.buildTables(shadow)
+	n.buildTables()
 	n.bssBytes = make([]int, len(n.bss))
 	n.built = true
 }
@@ -848,12 +853,12 @@ func (n *Network) ampduAirUs(m linkmodel.Mode, totalBytes int) float64 {
 func (n *Network) rtsAirUs() float64 { return n.cfg.Dcf.PlcpUs + n.cfg.RtsUs }
 func (n *Network) ctsAirUs() float64 { return n.cfg.Dcf.PlcpUs + n.cfg.CtsUs }
 
-// Prepare freezes the topology (gain tables, media, spatial index) and
-// seeds the traffic processes without advancing virtual time. Run calls
-// it implicitly; calling it explicitly lets setup cost be separated
-// from event-loop cost — the scale benchmarks time the two phases
-// independently, since filling the gain tables dwarfs short runs on
-// 1000+ node floors. After Prepare, the only permitted call is Run.
+// Prepare freezes the topology (media, spatial index, shard plan, the
+// gain tables' hot rows) and seeds the traffic processes without
+// advancing virtual time. Run calls it implicitly; calling it
+// explicitly lets setup cost be separated from event-loop cost — the
+// scale benchmarks time the two phases independently. After Prepare,
+// the only permitted call is Run.
 func (n *Network) Prepare() {
 	if n.prepared {
 		panic("netsim: Prepare called twice (or after Run)")
@@ -900,6 +905,7 @@ func (n *Network) Run(durationUs float64) Result {
 // strongest AP. It reschedules itself every RoamIntervalUs.
 func (n *Network) roamScan() {
 	dtS := n.cfg.RoamIntervalUs / 1e6
+	var movers []*Node
 	for _, nd := range n.nodes {
 		moved := false
 		if nd.wp != nil {
@@ -910,12 +916,13 @@ func (n *Network) roamScan() {
 			moved = true
 		}
 		if moved {
-			n.refreshGains(nd)
+			movers = append(movers, nd)
 			if nd.med.grid != nil {
 				nd.med.grid.update(nd)
 			}
 		}
 	}
+	n.refreshGains(movers...)
 	for _, nd := range n.nodes {
 		if nd.ap || nd.transmitting {
 			// Never tear down an in-flight exchange; the station will
@@ -1077,6 +1084,12 @@ func (n *Network) handoffDownlink(st, oldAp, newAp *Node) {
 	for _, f := range n.flows {
 		if f.From.ap && f.To == st {
 			f.src = newAp
+			f.queued = 0
+			for _, p := range newAp.acq[f.ac].queue.items() {
+				if p.flow == f {
+					f.queued++
+				}
+			}
 		}
 	}
 	// The old AP may just have handed away its whole backlog.

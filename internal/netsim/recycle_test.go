@@ -63,11 +63,48 @@ func checkPacketRecords(t *testing.T, n *Network) {
 	}
 }
 
+// queuedAudit is a shard probe that holds every flow injecting on its
+// shard to Flow.queued == a scan of the flow's source queue, at every
+// frame verdict and every enqueue — so at each delivery and at each
+// refill that follows one. It reads only its own shard's queues.
+type queuedAudit struct {
+	t      *testing.T
+	n      *Network
+	shard  int
+	checks int
+	failed bool
+}
+
+func (a *queuedAudit) OnEvent(ev Event) {
+	if a.failed || (ev.Kind != EvRxOutcome && ev.Kind != EvEnqueue) {
+		return
+	}
+	a.checks++
+	for _, f := range a.n.flows {
+		if f.src.sh.idx != a.shard {
+			continue
+		}
+		scan := 0
+		for _, p := range f.src.acq[f.ac].queue.items() {
+			if p.flow == f {
+				scan++
+			}
+		}
+		if f.queued != scan {
+			a.t.Errorf("t=%.0f µs, flow %s at %s: queued count %d, queue holds %d",
+				ev.TimeUs, f.From.Name, f.src.Name, f.queued, scan)
+			a.failed = true
+			return
+		}
+	}
+}
+
 // TestPacketRecyclingSafety runs every path a packet can take between
 // arrival and final fate — Block-ACK partial loss and RTS-protected
-// bursts, the via-AP relay, a roaming handoff, closed-loop injection
-// with queue-drop fates, and a two-shard floor — and audits the
-// recycled records afterwards.
+// bursts, the via-AP relay, roaming handoffs of a burst in flight and
+// of a standing backlog, closed-loop injection with queue-drop fates,
+// and a two-shard floor — and audits the
+// recycled records afterwards, and each flow's queued count throughout.
 func TestPacketRecyclingSafety(t *testing.T) {
 	scenarios := []struct {
 		name       string
@@ -130,6 +167,25 @@ func TestPacketRecyclingSafety(t *testing.T) {
 				t.Error("walker never roamed; the handoff path went unexercised")
 			}
 		}},
+		{"roam-handoff-backlog", 3e6, func() *Network {
+			// Single-frame exchanges with an overloaded downlink keep the
+			// old AP's queue full when the walker switches channels, so
+			// the handoff moves a standing backlog, not just a burst.
+			cfg := DefaultConfig()
+			cfg.RoamIntervalUs = 50000
+			n := New(cfg, 4)
+			b1 := n.AddAP("AP1", 0, 0, 1)
+			n.AddAP("AP2", 120, 0, 6)
+			st := n.AddStation(b1, "walker", 5, 0)
+			n.SetVelocity(st, 30, 0)
+			n.Add(FlowSpec{From: b1.AP, To: st, AC: AC_BE, Gen: Saturated{PayloadBytes: 1000}})
+			n.Add(FlowSpec{From: b1.AP, To: st, AC: AC_BE, Gen: CBR{PayloadBytes: 1000, IntervalUs: 200}})
+			return n
+		}, func(t *testing.T, r Result) {
+			if r.Roams == 0 || r.QueueDrops == 0 {
+				t.Errorf("%d roams, %d queue drops: the backlog handoff went unexercised", r.Roams, r.QueueDrops)
+			}
+		}},
 		{"closed-loop", 3e5, func() *Network {
 			cfg := aggConfig()
 			cfg.QueueLimit = 6 // small enough that queue-drop fates fire
@@ -159,12 +215,23 @@ func TestPacketRecyclingSafety(t *testing.T) {
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			n := sc.build()
+			var audits []*queuedAudit
+			n.AttachShardProbes(func(shard int) Probe {
+				a := &queuedAudit{t: t, n: n, shard: shard}
+				audits = append(audits, a)
+				return a
+			})
 			r := n.Run(sc.durationUs)
 			if r.Delivered == 0 {
 				t.Fatal("nothing delivered")
 			}
 			sc.check(t, r)
 			checkPacketRecords(t, n)
+			for _, a := range audits {
+				if a.checks == 0 {
+					t.Errorf("shard %d: queued count never audited", a.shard)
+				}
+			}
 		})
 	}
 }

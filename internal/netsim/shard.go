@@ -15,9 +15,10 @@ import (
 // every shard's engine to sim.RunParallel, which runs each one straight
 // to the end on a worker pool; a shard's goroutine touches only state
 // owned by that shard plus the Network's frozen build products (config,
-// node positions, and the gain tables of the shard's own media — each
-// medium has its own, so shards never read each other's). Everything
-// mutable in the MAC hot path hangs off the shard a node belongs to.
+// node positions) and the gain tables of the shard's own media — each
+// medium has its own, and only its shard fills its cold cache, so
+// shards never touch each other's. Everything mutable in the MAC hot
+// path hangs off the shard a node belongs to.
 //
 // Partitioning is by interaction group, not by raw grid cell: two BSSs
 // interact when any of their nodes share a channel within carrier
@@ -236,21 +237,20 @@ func (n *Network) channelsCouple(ca, cb int) bool {
 // nodes cannot influence each other's MAC state: the max of
 // carrier-sense reach, NAV decode reach, and the farthest distance at
 // which a transmission still arrives above noise −
-// interferenceMarginDB. Like indexRanges, the budget folds in the
-// deployment's most favorable shadowing draw, so no lucky pair reaches
-// across a seam; bonding's fractional overlap only attenuates received
-// power, so the unscaled range stays conservative for partially
-// overlapping channels too. OBSS-PD spatial reuse needs no adjustment
-// either, in both directions: raising the deferral threshold only
-// SHRINKS the inter-BSS carrier-sense reach (while the interference
-// term at noise − interferenceMarginDB, which dominates this max,
-// already covers any frame that could perturb a victim's SINR), and
-// the coupled TX-power backoff only reduces radiated power — so the
-// full-power, legacy-CS figure computed here remains a superset of
-// every range the mechanism can produce.
+// interferenceMarginDB. Gains depend only on distance, so no pair
+// reaches across a seam; bonding's fractional overlap only attenuates
+// received power, so the unscaled range stays conservative for
+// partially overlapping channels too. OBSS-PD spatial reuse needs no
+// adjustment either, in both directions: raising the deferral
+// threshold only SHRINKS the inter-BSS carrier-sense reach (while the
+// interference term at noise − interferenceMarginDB, which dominates
+// this max, already covers any frame that could perturb a victim's
+// SINR), and the coupled TX-power backoff only reduces radiated power
+// — so the full-power, legacy-CS figure computed here remains a
+// superset of every range the mechanism can produce.
 func (n *Network) interactRangeM() float64 {
 	b := n.cfg.Budget
-	gainDBm := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - n.minShadowDB
+	gainDBm := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain
 	r := maxDistForLoss(n.cfg.PathLoss, gainDBm-(n.noiseFloorDBm-interferenceMarginDB))
 	if n.csRangeM > r {
 		r = n.csRangeM
@@ -370,13 +370,13 @@ func balanceGroups(groups [][]int, bssNodes []int, k int) []int {
 }
 
 // planShards decides the partition and creates the shards, assigning
-// every node to one. Called from build after the shadowing draws and
-// index ranges are final (the planning radius depends on the draws) and
-// before media and their gain tables are created. The single-shard
-// path — whether requested or fallen back to — hands shard 0 the
-// Network's own rng.Source and attached probe, keeping it bit-identical
-// to the pre-shard simulator; a multi-shard run splits one
-// deterministic child stream per shard in shard order.
+// every node to one. Called from build after the index ranges are
+// final (the planning radius builds on them) and before media and
+// their gain tables are created. The single-shard path — whether
+// requested or fallen back to — hands shard 0 the Network's own
+// rng.Source and attached probe, keeping it bit-identical to the
+// pre-shard simulator; a multi-shard run splits one deterministic
+// child stream per shard in shard order.
 func (n *Network) planShards() {
 	req := n.cfg.Shards
 	if req < 1 {

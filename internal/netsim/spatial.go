@@ -22,16 +22,16 @@ import (
 // nodes within r metres of the probe point (cells are visited by a
 // conservative Chebyshev bound), and the caller re-applies the exact
 // power/SNR predicate it always used — so the index can never change
-// which nodes sense a frame, only how many are inspected. The radii in
-// Network.indexRanges fold in the most favorable shadowing draw of the
-// whole deployment, keeping the superset guarantee even when a lucky
-// pair reaches beyond the median range. Candidates are returned sorted
-// by medium-membership order (Node.ord), which makes the indexed scan
+// which nodes sense a frame, only how many are inspected. The radii
+// in Network.indexRanges invert the same path-loss curve the gains
+// come from, and a gain depends only on distance, so no pair can
+// reach beyond them. Candidates are returned sorted by
+// medium-membership order (Node.ord), which makes the indexed scan
 // visit nodes in exactly the order the brute-force scan over
-// medium.nodes would — a requirement for bit-for-bit equivalence, since
-// carrier-sense pauses schedule events and event order is simulation
-// state. Config.DisableSpatialIndex keeps the brute-force scan
-// available as the test oracle.
+// medium.nodes would — a requirement for bit-for-bit equivalence,
+// since carrier-sense pauses schedule events and event order is
+// simulation state. Config.DisableSpatialIndex keeps the brute-force
+// scan available as the test oracle.
 
 // cellKey addresses one grid cell. Positions are unbounded (roaming
 // walks leave any fixed floor), so cells live in a map rather than a
@@ -243,14 +243,12 @@ func (g *spatialGrid) query(x, y, radiusM float64, out []*Node) []*Node {
 //     requirement can still be met — the decode range that NAV adoption
 //     reaches, which extends below the energy-detect threshold.
 //
-// Both radii widen by the most favorable (most negative) shadowing draw
-// among all node pairs, so per-pair shadowing can never push a sensing
-// node outside the queried cells. Ranges are clamped to [1 m, 1e7 m]; a
-// threshold so low that the cap binds just degenerates the grid toward
-// one floor-sized cell, i.e. the brute-force scan.
+// Ranges are clamped to [1 m, 1e7 m]; a threshold so low that the cap
+// binds just degenerates the grid toward one floor-sized cell, i.e. the
+// brute-force scan.
 func (n *Network) indexRanges() (csM, navM float64) {
 	b := n.cfg.Budget
-	gainDBm := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - n.minShadowDB
+	gainDBm := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain
 	csM = maxDistForLoss(n.cfg.PathLoss, gainDBm-n.cfg.CSThresholdDBm)
 	navM = maxDistForLoss(n.cfg.PathLoss, gainDBm-(n.noiseFloorDBm+n.robustMode().SnrReqDB))
 	return csM, navM

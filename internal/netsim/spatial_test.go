@@ -8,27 +8,32 @@ import (
 // Property test for the grid index: whatever the node layout and
 // however nodes move, a candidate query must return a SUPERSET of the
 // nodes the brute-force scan would accept — dropping one sensing node
-// breaks carrier sense silently. Shadowing is on, so the test also
-// exercises the radius padding for lucky per-pair draws, and candidates
+// breaks carrier sense silently. Nodes are packed densely near the
+// origin and spread thinly beyond it, so pairs sit right at both query
+// radii as well as well inside and far outside them, and candidates
 // must come back in membership order (the equivalence suite's bit-for-
 // bit guarantee rests on it). Carrier-sense candidates cover the
 // csTracked subset (idle stations carry no carrier-sense state — see
 // Node.joinCS); NAV candidates must cover every decoder, tracked or
 // not.
 
-// buildRandomFloor places nNodes uniformly on a side x side floor, all
-// on one channel, with shadowing enabled. Every third node is put under
+// buildRandomFloor places nNodes on a side x side floor, all on one
+// channel: half uniformly over the whole floor, half in a cluster of
+// side/8 at the origin, so both dense neighborhoods and sparse pairs
+// near the range edges occur. Every third node is put under
 // carrier-sense tracking, mimicking a floor where a fraction of the
 // associated stations hold traffic.
 func buildRandomFloor(t *testing.T, seed int64, nNodes int, sideM float64) *Network {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.PathLoss.ShadowDB = 6
-	n := New(cfg, seed)
+	n := New(DefaultConfig(), seed)
 	b := n.AddAP("AP0", 0, 0, 1)
 	for i := 1; i < nNodes; i++ {
+		span := sideM
+		if i%2 == 0 {
+			span = sideM / 8
+		}
 		n.AddStation(b, fmt.Sprintf("sta%d", i),
-			n.Src().Float64()*sideM, n.Src().Float64()*sideM)
+			n.Src().Float64()*span, n.Src().Float64()*span)
 	}
 	n.build()
 	for i, nd := range n.nodes {

@@ -136,9 +136,13 @@ type Flow struct {
 	// ac is the effective category frames contend under: AC when EDCA
 	// is on, AC_BE under legacy DCF. src is the current injection node
 	// — From, except for downlink flows, where handoffDownlink repoints
-	// it at the destination's AP as the station roams.
-	ac  AC
-	src *Node
+	// it at the destination's AP as the station roams (and recounts
+	// queued). queued is how many of the flow's packets wait in src's
+	// queue, kept by the queue operations (pktQueue.track), so a
+	// saturated refill knows what it owes without scanning the queue.
+	ac     AC
+	src    *Node
+	queued int
 
 	// control, when set, closes the loop: it hears every packet's
 	// final fate and may inject traffic of its own (closedloop.go).
@@ -241,23 +245,12 @@ func (f *Flow) burstDepth() int {
 	return d
 }
 
-// queuedAtSrc counts the flow's own packets waiting at its injection
-// node (the per-AC queue may be shared with other flows).
-func (f *Flow) queuedAtSrc() int {
-	cnt := 0
-	for _, p := range f.src.acq[f.ac].queue.items() {
-		if p.flow == f {
-			cnt++
-		}
-	}
-	return cnt
-}
-
-// topUp fills a saturated flow's queue back to its burst depth. One
-// queue scan decides how many arrivals are owed — arrive/enqueue is
-// synchronous, so nothing changes the queue between them.
+// topUp fills a saturated flow's queue back to its burst depth. The
+// queued count at the start decides how many arrivals are owed —
+// arrive/enqueue is synchronous, so nothing else changes the queue
+// between them.
 func (f *Flow) topUp() {
-	for owed := f.burstDepth() - f.queuedAtSrc(); owed > 0; owed-- {
+	for owed := f.burstDepth() - f.queued; owed > 0; owed-- {
 		if !f.arrive() {
 			return
 		}
